@@ -1,4 +1,4 @@
-"""Dyadic domains and translated dyadic grids with exact rational geometry.
+"""Dyadic domains and translated dyadic grids with exact integer geometry.
 
 The domain is the half-open unit cube [0,1)^n (n = 1 or 2) split into
 2^(n*k) congruent cells at resolution level k.  Besides the standard
@@ -9,16 +9,24 @@ dyadic grid, the operators use the translated grids
 with per-axis translations tau in {0, +1/3, -1/3}.  The sign alternation
 (-1)^j is what makes each translated family nested across scales, and the
 1/3 shifts make the three families together see every cube "with room to
-spare".  All cube coordinates are Fractions so tiling and nesting checks
-are exact, with zero tolerance.
+spare".
+
+Every cube endpoint at level j is an integer multiple of 1/(3*2^j).  In
+those units the cube with coordinate m_a on axis a spans [A, A+3) with
+A = 3*m_a + (-1)^j * k_a and k_a = 3*tau_a in {-1, 0, 1}, and the domain
+spans [0, 3*2^j).  Parents, clipped volumes, point location and the cells
+a cube overlaps are integer arithmetic on these corners, one set of
+formulas for all nine translations.  Fractions appear only where the API
+promises exact rationals (DyadicCube.box, the contains_* tests, cell
+boxes) and in the verifiers, which recompute the geometry from box() so
+that they check the integer code instead of repeating it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
 
 import numpy as np
 
@@ -108,19 +116,24 @@ class DyadicCube:
     """One cube of a (possibly translated) dyadic grid.
 
     The cube at ``level`` j has side 2^(-j) and lower corner
-    (m_a + (-1)^j * tau_a) * 2^(-j) on axis a.
+    (m_a + (-1)^j * tau_a) * 2^(-j) on axis a.  ``corner`` holds the same
+    corner in units of 1/(3*2^j): the integers 3*m_a + (-1)^j * 3*tau_a.
     """
 
     n: int
     tau: tuple[Fraction, ...]
     level: int
     coords: tuple[int, ...]
+    corner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.tau) != self.n or len(self.coords) != self.n:
             raise ValueError("cube arity mismatch")
         if self.level < 0:
             raise ValueError("cube level must be nonnegative")
+        s = self.sign
+        corner = tuple([3 * m + s * k for m, k in zip(self.coords, _thirds(self.tau))])
+        object.__setattr__(self, "corner", corner)
 
     @property
     def side(self) -> Fraction:
@@ -146,14 +159,11 @@ class DyadicCube:
 
     def clip_volume(self) -> Fraction:
         """Exact volume of the intersection with the unit cube."""
-        lo, hi = self.box()
-        vol = Fraction(1)
-        for a, b in zip(lo, hi):
-            seg = min(b, Fraction(1)) - max(a, Fraction(0))
-            if seg <= 0:
-                return Fraction(0)
-            vol *= seg
-        return vol
+        top = 3 << self.level
+        num = 1
+        for a in self.corner:
+            num *= max(0, min(a + 3, top) - max(a, 0))
+        return Fraction(num, top ** self.n)
 
     def key(self) -> str:
         tau = ",".join(str(t) for t in self.tau)
@@ -161,13 +171,30 @@ class DyadicCube:
         return f"j={self.level};tau=({tau});m=({coords})"
 
 
+def _thirds(tau) -> tuple[int, ...]:
+    """3 * tau per axis, as integers; each component must be a rational
+    multiple of 1/3."""
+    if any([3 % t.denominator for t in tau]):
+        raise ValueError(f"translation {tau} is not a multiple of 1/3")
+    return tuple([t.numerator * (3 // t.denominator) for t in tau])
+
+
+def _coord_range(k: int, level: int) -> range:
+    """Coordinates m whose cube [A, A+3), A = 3m + (-1)^level * k, meets
+    the domain [0, 3*2^level)."""
+    off = -k if level % 2 else k
+    return range((-3 - off) // 3 + 1, -((off - (3 << level)) // 3))
+
+
 def cube_containing_point(
     point: tuple[Fraction, ...], n: int, tau: tuple[Fraction, ...], level: int
 ) -> DyadicCube:
     """The unique grid cube at ``level`` containing an exact point."""
     sign = -1 if level % 2 else 1
-    scale = 1 << level
-    coords = tuple(floor(p * scale - sign * t) for p, t in zip(point, tau))
+    top = 3 << level
+    # the point sits at P = p * top; its cube has 3m + sign*k <= P < 3m + sign*k + 3
+    coords = tuple([(p.numerator * top - sign * k * p.denominator) // (3 * p.denominator)
+                    for p, k in zip(point, _thirds(tau))])
     return DyadicCube(n, tau, level, coords)
 
 
@@ -175,26 +202,18 @@ def parent_cube(cube: DyadicCube) -> DyadicCube:
     """The unique next-coarser cube of the same grid containing ``cube``."""
     if cube.level == 0:
         raise ValueError("level-0 cube has no parent in scope")
-    lo, hi = cube.box()
-    center = tuple((a + b) / 2 for a, b in zip(lo, hi))
-    parent = cube_containing_point(center, cube.n, cube.tau, cube.level - 1)
-    if not parent.contains_box(lo, hi):
-        # unreachable for 0 / +-1/3 translations; guards arithmetic bugs
-        raise AssertionError("translated grid lost nesting")
-    return parent
+    # in the child's units the parent with coordinate m spans
+    # [2(3m + s*k), 2(3m + s*k) + 6), s = (-1)^(level-1); the parent is the
+    # one holding the child's center A + 3/2
+    s = -cube.sign
+    coords = tuple([(2 * a + 3 - 4 * s * k) // 12
+                    for a, k in zip(cube.corner, _thirds(cube.tau))])
+    return DyadicCube(cube.n, cube.tau, cube.level - 1, coords)
 
 
 def cubes_covering_domain(n: int, tau: tuple[Fraction, ...], level: int) -> list[DyadicCube]:
     """All grid cubes at ``level`` whose interior meets [0,1)^n."""
-    sign = -1 if level % 2 else 1
-    scale = 1 << level
-    ranges = []
-    for t in tau:
-        off = sign * t
-        # need m + off < 2^j (left edge inside) and m + off + 1 > 0 (right edge inside)
-        m_lo = floor(-off - 1) + 1
-        m_hi = ceil(scale - off) - 1
-        ranges.append(range(m_lo, m_hi + 1))
+    ranges = [_coord_range(k, level) for k in _thirds(tau)]
     return [DyadicCube(n, tau, level, m) for m in product(*ranges)]
 
 
@@ -210,19 +229,26 @@ def dyadic_cube_family(domain: DyadicDomain, tau: tuple[Fraction, ...] | None = 
 
 
 def _scaled_corners(n: int, tau: tuple[Fraction, ...], level: int) -> np.ndarray:
-    """Lower corners of the covering cubes times 3*2^level (all integers,
-    since tau has denominator 1 or 3); one row per cube."""
+    """Integer corners of the covering cubes, in cubes_covering_domain's
+    order; one row per cube."""
     sign = -1 if level % 2 else 1
-    k3 = np.array([int(3 * t) for t in tau], dtype=np.int64)
-    ranges = []
-    for t in tau:
-        off = sign * t
-        m_lo = floor(-off - 1) + 1
-        m_hi = ceil((1 << level) - off) - 1
-        ranges.append(np.arange(m_lo, m_hi + 1, dtype=np.int64))
+    k3 = _thirds(tau)
+    ranges = [np.array(_coord_range(k, level), dtype=np.int64) for k in k3]
     grids = np.meshgrid(*ranges, indexing="ij")
     M = np.stack([g.ravel() for g in grids], axis=1)
-    return 3 * M + sign * k3
+    return 3 * M + sign * np.array(k3, dtype=np.int64)
+
+
+def _box_clip_volume(cube: DyadicCube) -> Fraction:
+    """Clipped volume recomputed from the cube's rational box."""
+    lo, hi = cube.box()
+    vol = Fraction(1)
+    for a, b in zip(lo, hi):
+        seg = min(b, Fraction(1)) - max(a, Fraction(0))
+        if seg <= 0:
+            return Fraction(0)
+        vol *= seg
+    return vol
 
 
 def verify_tiling(n: int, tau: tuple[Fraction, ...], level: int) -> bool:
@@ -231,20 +257,21 @@ def verify_tiling(n: int, tau: tuple[Fraction, ...], level: int) -> bool:
     Cubes of one grid at one level are integer lattice translates of each
     other, so distinct coordinates imply disjointness; the partition then
     reduces to the identity sum(clipped volumes) == 1, evaluated in integer
-    arithmetic after scaling every endpoint by 3*2^level.
+    arithmetic after scaling every endpoint by 3*2^level.  A stride of the
+    cubes is cross-checked against volumes recomputed from their rational
+    boxes.
     """
     corners = _scaled_corners(n, tau, level)
     scale = 3 << level
     seg = np.minimum(corners + 3, scale) - np.maximum(corners, 0)
     seg = np.maximum(seg, 0)
-    total = int(np.prod(seg, axis=1, dtype=np.int64).sum(dtype=np.int64))
-    if total != scale ** n:
-        return False
-    # stride cross-check: the rational API must agree with the integer path
-    cubes = cubes_covering_domain(n, tau, level)
     vols = np.prod(seg, axis=1, dtype=np.int64)
+    if int(vols.sum(dtype=np.int64)) != scale ** n:
+        return False
+    cubes = cubes_covering_domain(n, tau, level)
     for i in range(0, len(cubes), 31):
-        if cubes[i].clip_volume() != Fraction(int(vols[i]), scale ** n):
+        exact = _box_clip_volume(cubes[i])
+        if exact != cubes[i].clip_volume() or exact != Fraction(int(vols[i]), scale ** n):
             return False
     return len({c.coords for c in cubes}) == len(cubes)
 
@@ -254,16 +281,17 @@ def verify_nesting(n: int, tau: tuple[Fraction, ...], level: int) -> bool:
 
     In units of 1/(3*2^j) a cube occupies [a, a+3) per axis and parents
     occupy width-6 blocks anchored at 2*(3m + sign*3tau); nesting is the
-    statement that a minus the parent anchor offset is 0 or 3 mod 6.
+    statement that a minus the parent anchor offset is 0 or 3 mod 6.  A
+    stride of the cubes is cross-checked through parent_cube and the
+    rational boxes.
     """
-    k3 = np.array([int(3 * t) for t in tau], dtype=np.int64)
+    k3 = np.array(_thirds(tau), dtype=np.int64)
     for j in range(1, level + 1):
         corners = _scaled_corners(n, tau, j)
         parent_sign = -1 if (j - 1) % 2 else 1
         rem = (corners - 2 * parent_sign * k3) % 6
         if not bool(np.all((rem == 0) | (rem == 3))):
             return False
-        # stride cross-check through the cube objects themselves
         cubes = cubes_covering_domain(n, tau, j)
         for cube in cubes[::31]:
             lo, hi = cube.box()

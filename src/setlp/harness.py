@@ -220,8 +220,11 @@ def trial_field(rng: np.random.Generator, domain: DyadicDomain, dim: int,
         mags[hot] = 1.0 + rng.uniform(0.0, 1.0)
     elif kind == "checkerboard":
         hi = 1.0 + rng.uniform(0.0, 0.5)
-        coords = np.array([domain.cell_coords(i) for i in range(num)])
-        parity = coords.sum(axis=1) % 2
+        # row-major cells: the axis coordinates are idx // side and idx % side
+        # (for n = 1 the first is 0)
+        idx = np.arange(num)
+        side = domain.cells_per_axis
+        parity = (idx // side + idx % side) % 2
         mags = np.where(parity == 0, hi, 0.25 * hi)
     else:
         raise ValueError(f"unknown trial field kind: {kind}")
@@ -232,13 +235,24 @@ def _ratio(num: float, den: float) -> float:
     return 0.0 if den == 0.0 else num / den
 
 
-def _serialize_failure(out: str | None, suite: str, trial: int, fld: SetField,
-                       info: dict) -> str | None:
-    if out is None:
+def _trial(config: ExperimentConfig, i: int) -> tuple[int, int, str, SetField]:
+    """(n, d, kind, field) of trial i of a field suite."""
+    n, dim = _TRIAL_DIMS[i % len(_TRIAL_DIMS)]
+    kind = _TRIAL_KINDS[i % len(_TRIAL_KINDS)]
+    domain = DyadicDomain(n, _trial_level(config, n))
+    return n, dim, kind, trial_field(_trial_rng(config.seed, i), domain, dim, kind)
+
+
+def _failure_fixture(config: ExperimentConfig, suite: str, records: list) -> str | None:
+    """Write the first failing trial's field under config.out and return
+    the path; None when every trial passed or there is no output dir."""
+    bad = next((r for r in records if not r["ok"]), None)
+    if bad is None or config.out is None:
         return None
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{suite}-failure-trial{trial}.json")
-    doc = {"suite": suite, "trial": trial, "info": info, "field": fld.to_dict()}
+    fld = _trial(config, bad["trial"])[3]
+    os.makedirs(config.out, exist_ok=True)
+    path = os.path.join(config.out, f"{suite}-failure-trial{bad['trial']}.json")
+    doc = {"suite": suite, "trial": bad["trial"], "info": bad, "field": fld.to_dict()}
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -261,11 +275,7 @@ def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
     constants = {t: c.interpolation_constant for t, c in cfgs.items()}
 
     def worker(i: int) -> dict:
-        n, dim = _TRIAL_DIMS[i % len(_TRIAL_DIMS)]
-        kind = _TRIAL_KINDS[i % len(_TRIAL_KINDS)]
-        rng = _trial_rng(config.seed, i)
-        domain = DyadicDomain(n, _trial_level(config, n))
-        fld = trial_field(rng, domain, dim, kind)
+        n, dim, kind, fld = _trial(config, i)
         # one maximal field serves every t: only the exponents change
         mf = dyadic_frac_maximal(fld, alpha)
         ratios = {}
@@ -275,7 +285,7 @@ def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
         if dim == 1:
             # interval fields reduce to their radius functions exactly
             radii = np.array([magnitude(c) for c in fld.cells])
-            smax = scalar_frac_maximal(radii, domain, alpha)
+            smax = scalar_frac_maximal(radii, fld.domain, alpha)
             oracle_gap = float(max(abs(magnitude(c) - s)
                                    for c, s in zip(mf.cells, smax)))
         slack = min(constants[t] - ratios[repr(t)] for t in cfgs)
@@ -289,20 +299,13 @@ def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
     worst = {repr(t): max(r["ratios"][repr(t)] for r in records) for t in cfgs}
     min_slack = min(r["slack"] for r in records)
     passed = all(r["ok"] for r in records)
-    failure = None
-    if not passed and config.out is not None:
-        bad = next(r for r in records if not r["ok"])
-        rng = _trial_rng(config.seed, bad["trial"])
-        domain = DyadicDomain(bad["n"], _trial_level(config, bad["n"]))
-        fld = trial_field(rng, domain, bad["d"], bad["kind"])
-        failure = _serialize_failure(config.out, "marcinkiewicz", bad["trial"], fld, bad)
     aggregate = {
         "alpha": alpha,
         "constants": {repr(t): constants[t] for t in config.ts},
         "max_ratio": worst,
         "min_slack": min_slack,
         "trials": len(records),
-        "failure_fixture": failure,
+        "failure_fixture": _failure_fixture(config, "marcinkiewicz", records),
     }
     plot = [(r["trial"], f"ratio_t={t}", r["ratios"][repr(t)])
             for r in records for t in sorted(cfgs)]
@@ -318,13 +321,9 @@ def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
 
 def run_endpoint_bounds(config: ExperimentConfig) -> ExperimentReport:
     def worker(i: int) -> dict:
-        n, dim = _TRIAL_DIMS[i % len(_TRIAL_DIMS)]
-        kind = _TRIAL_KINDS[i % len(_TRIAL_KINDS)]
+        n, dim, kind, fld = _trial(config, i)
         alpha = _ENDPOINT_ALPHAS[i % len(_ENDPOINT_ALPHAS)]
         cfg = ExponentConfig.for_fractional_maximal(alpha, 0.5)
-        rng = _trial_rng(config.seed, i)
-        domain = DyadicDomain(n, _trial_level(config, n))
-        fld = trial_field(rng, domain, dim, kind)
         norm_1 = lp_norm(fld, 1.0)
         norm_hi = lp_norm(fld, 1.0 / alpha)
 
@@ -357,20 +356,13 @@ def run_endpoint_bounds(config: ExperimentConfig) -> ExperimentReport:
 
     records = _run_trials(worker, range(config.trial_count("endpoints")))
     passed = all(r["ok"] for r in records)
-    failure = None
-    if not passed and config.out is not None:
-        bad = next(r for r in records if not r["ok"])
-        rng = _trial_rng(config.seed, bad["trial"])
-        domain = DyadicDomain(bad["n"], _trial_level(config, bad["n"]))
-        fld = trial_field(rng, domain, bad["d"], bad["kind"])
-        failure = _serialize_failure(config.out, "endpoints", bad["trial"], fld, bad)
     aggregate = {
         "worst": {key: max(r[key] for r in records)
                   for key in ("avg_weak", "avg_strong", "max_weak", "max_strong",
                               "mid_ratio")},
         "min_slack": min(r["slack"] for r in records),
         "trials": len(records),
-        "failure_fixture": failure,
+        "failure_fixture": _failure_fixture(config, "endpoints", records),
     }
     plot = [(r["trial"], key, r[key]) for r in records
             for key in ("avg_weak", "avg_strong", "max_weak", "max_strong")]

@@ -135,25 +135,28 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _cell_overlaps(domain: DyadicDomain, cube: DyadicCube):
-    """(cell index, exact overlap volume) pairs for cells meeting a cube."""
-    lo, hi = cube.box()
-    scale_ = domain.cells_per_axis
+    """(cell index, exact overlap volume) pairs for cells meeting a cube.
+
+    Per axis, in units of 1/(3*2^L) with L the finer of the two levels, the
+    cube spans [A*2^(L-j), (A+3)*2^(L-j)) and cell c spans [c*w, (c+1)*w)
+    with w = 3*2^(L-k).
+    """
+    fine = max(cube.level, domain.level)
+    grow = 1 << (fine - cube.level)
+    width = 3 << (fine - domain.level)
+    last = domain.cells_per_axis - 1
     axes = []
-    for a, b in zip(lo, hi):
-        cells = []
-        c_lo = max(0, math.floor(a * scale_))
-        c_hi = min(scale_ - 1, math.ceil(b * scale_) - 1)
-        for c in range(c_lo, c_hi + 1):
-            seg = min(b, Fraction(c + 1, scale_)) - max(a, Fraction(c, scale_))
-            if seg > 0:
-                cells.append((c, seg))
-        axes.append(cells)
+    for a in cube.corner:
+        lo, hi = a * grow, (a + 3) * grow
+        axes.append([(c, min(hi, (c + 1) * width) - max(lo, c * width))
+                     for c in range(max(0, lo // width), min(last, (hi - 1) // width) + 1)])
+    denom = (3 << fine) ** domain.n
     for combo in product(*axes):
         coords = tuple(c for c, _ in combo)
-        weight = Fraction(1)
+        weight = 1
         for _, seg in combo:
             weight *= seg
-        yield domain.cell_index(coords), weight
+        yield domain.cell_index(coords), Fraction(weight, denom)
 
 
 def aligned_cells(domain: DyadicDomain, cube: DyadicCube) -> list[int]:

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -113,3 +115,52 @@ def test_cube_key_distinguishes_grids():
     b = DyadicCube(1, (-THIRD,), 2, (1,))
     assert a.key() != b.key()
     assert "j=2" in a.key()
+
+
+# the integer geometry against the defining rational formulas: a level-j
+# cube of D^tau has lower corner (m + (-1)^j tau) 2^(-j) and side 2^(-j)
+
+def fraction_clip_volume(cube):
+    side = Fraction(1, 2 ** cube.level)
+    vol = Fraction(1)
+    for m, t in zip(cube.coords, cube.tau):
+        lo = (m + (-1) ** cube.level * t) * side
+        vol *= max(Fraction(0), min(lo + side, Fraction(1)) - max(lo, Fraction(0)))
+    return vol
+
+
+def fraction_parent_coords(cube):
+    j = cube.level
+    side = Fraction(1, 2 ** j)
+    coords = []
+    for m, t in zip(cube.coords, cube.tau):
+        center = (m + (-1) ** j * t) * side + side / 2
+        coords.append(math.floor(center * 2 ** (j - 1) - (-1) ** (j - 1) * t))
+    return tuple(coords)
+
+
+GRIDS = [(n, tau) for n in (1, 2) for tau in grid_translations(n)]
+
+
+@pytest.mark.parametrize("level", range(0, 7))
+@pytest.mark.parametrize("n,tau", GRIDS, ids=[f"n{n}-{tau}" for n, tau in GRIDS])
+def test_integer_geometry_matches_fractions(n, tau, level):
+    # every covering cube plus a ring of cubes that lie wholly outside
+    ranges = []
+    for r in zip(*(c.coords for c in cubes_covering_domain(n, tau, level))):
+        ranges.append(range(min(r) - 1, max(r) + 2))
+    outside = 0
+    for coords in product(*ranges):
+        cube = DyadicCube(n, tau, level, coords)
+        vol = cube.clip_volume()
+        assert vol == fraction_clip_volume(cube)
+        outside += vol == 0
+        if level > 0:
+            parent = parent_cube(cube)
+            assert parent == DyadicCube(n, tau, level - 1, fraction_parent_coords(cube))
+    assert outside > 0
+
+
+def test_translation_must_be_a_multiple_of_a_third():
+    with pytest.raises(ValueError, match="1/3"):
+        DyadicCube(1, (Fraction(1, 6),), 2, (0,))

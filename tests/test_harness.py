@@ -7,6 +7,7 @@ import pytest
 
 from setlp.bodies import magnitude
 from setlp.cli import ConfigError, load_config, main
+from setlp.fields import SetField, random_simple_field
 from setlp.grids import DyadicDomain
 from setlp.harness import (
     DEFAULT_TRIALS,
@@ -14,6 +15,7 @@ from setlp.harness import (
     SUITES,
     ExperimentConfig,
     ExperimentReport,
+    _failure_fixture,
     _jsonable,
     run_bodies_selftest,
     run_endpoint_bounds,
@@ -64,6 +66,38 @@ def test_trial_field_deterministic_and_kinds():
     assert mags[0::2].mean() > 2.0 * mags[1::2].mean()
     with pytest.raises(ValueError, match="kind"):
         trial_field(np.random.default_rng(6), domain, 1, "nope")
+
+
+def test_checkerboard_parity_matches_cell_coords():
+    for n in (1, 2):
+        domain = DyadicDomain(n, 3)
+        got = trial_field(np.random.default_rng(9), domain, 2, "checkerboard")
+        rng = np.random.default_rng(9)
+        hi = 1.0 + rng.uniform(0.0, 0.5)
+        parity = np.array([sum(domain.cell_coords(i)) % 2 for i in range(domain.num_cells)])
+        want = random_simple_field(rng, domain, 2,
+                                   magnitude_scale=np.where(parity == 0, hi, 0.25 * hi))
+        for a, b in zip(got.cells, want.cells, strict=True):
+            assert np.array_equal(a.generators, b.generators)
+
+
+def test_failure_fixture_reloads_to_the_trial_field(tmp_path):
+    config = ExperimentConfig(seed=7, level=3, trials=8, out=str(tmp_path))
+    records = [{"trial": i, "ok": i != 7} for i in range(8)]
+    assert _failure_fixture(config, "endpoints", records[:7]) is None
+    path = _failure_fixture(config, "endpoints", records)
+    assert os.path.basename(path) == "endpoints-failure-trial7.json"
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert (doc["suite"], doc["trial"], doc["info"]) == ("endpoints", 7, records[7])
+    loaded = SetField.from_dict(doc["field"])
+    # trial 7 of the field suites: n = 2, d = 2, a checkerboard field
+    want = trial_field(np.random.default_rng([7, 7]), DyadicDomain(2, 3), 2, "checkerboard")
+    assert loaded.domain == want.domain
+    for a, b in zip(loaded.cells, want.cells, strict=True):
+        assert np.array_equal(a.generators, b.generators)
+    no_out = ExperimentConfig(seed=7, level=3, trials=8)
+    assert _failure_fixture(no_out, "endpoints", records) is None
 
 
 def test_jsonable_sanitizes_numpy_and_infinities():

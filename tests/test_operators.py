@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from setlp.bodies import ConvexBody, magnitude, origin_body, support_batch
+from setlp.bodies import (ConvexBody, conv_union, fold_minkowski, magnitude, origin_body,
+                          scale, support_batch)
 from setlp.fields import SetField, random_simple_field
 from setlp.grids import DyadicCube, DyadicDomain, cubes_covering_domain
 from setlp.operators import (
@@ -29,6 +31,91 @@ def interval_field(domain, radii):
 
 def root_cube(n):
     return DyadicCube(n, tuple([Fraction(0)] * n), 0, tuple([0] * n))
+
+
+def fraction_parent_coords(cube):
+    """Parent coordinates from the rational box: the coarser cube holding
+    the child's center."""
+    j = cube.level
+    lo, hi = cube.box()
+    return tuple(math.floor((a + b) / 2 * 2 ** (j - 1) - (-1) ** (j - 1) * t)
+                 for a, b, t in zip(lo, hi, cube.tau))
+
+
+def fraction_overlaps(domain, cube):
+    """(cell index, overlap volume) from the rational boxes, in the order
+    the library folds them."""
+    lo, hi = cube.box()
+    side = Fraction(1, domain.cells_per_axis)
+    axes = []
+    for a, b in zip(lo, hi):
+        segs = [(c, min(b, (c + 1) * side) - max(a, c * side))
+                for c in range(domain.cells_per_axis)]
+        axes.append([(c, seg) for c, seg in segs if seg > 0])
+    for combo in product(*axes):
+        yield domain.cell_index(tuple(c for c, _ in combo)), math.prod(w for _, w in combo)
+
+
+def fraction_tree(field, tau):
+    """cube_integral_tree rebuilt with rational overlaps and parent links."""
+    domain, dim = field.domain, field.dim
+    levels = [cubes_covering_domain(domain.n, tau, j) for j in range(domain.level + 1)]
+    integrals = [dict() for _ in levels]
+    for cube in levels[-1]:
+        parts = [scale(float(w), field.cells[idx]) for idx, w in fraction_overlaps(domain, cube)]
+        integrals[-1][cube.coords] = fold_minkowski(parts, dim)
+    for j in range(domain.level - 1, -1, -1):
+        children = {}
+        for cube in levels[j + 1]:
+            children.setdefault(fraction_parent_coords(cube), []).append(
+                integrals[j + 1][cube.coords])
+        for cube in levels[j]:
+            parts = children.get(cube.coords)
+            integrals[j][cube.coords] = fold_minkowski(parts, dim) if parts else origin_body(dim)
+    return levels, integrals
+
+
+def fraction_maximal(field, alpha, tau):
+    """dyadic_frac_maximal rebuilt on fraction_tree with rational volumes."""
+    domain = field.domain
+    levels, integrals = fraction_tree(field, tau)
+    accum = [dict() for _ in levels]
+    for j, cubes in enumerate(levels):
+        for cube in cubes:
+            lo, hi = cube.box()
+            vol = math.prod(max(Fraction(0), min(b, Fraction(1)) - max(a, Fraction(0)))
+                            for a, b in zip(lo, hi))
+            avg = scale(float(vol) ** (alpha - 1.0), integrals[j][cube.coords])
+            accum[j][cube.coords] = (avg if j == 0 else conv_union(
+                accum[j - 1][fraction_parent_coords(cube)], avg))
+    cells = []
+    for idx in range(domain.num_cells):
+        body = origin_body(field.dim)
+        lo, hi = domain.cell_box(idx)
+        for j in range(domain.level, -1, -1):
+            holding = [c for c in levels[j] if c.contains_box(lo, hi)]
+            if holding:
+                body = accum[j][holding[0].coords]
+                break
+        cells.append(body)
+    return cells
+
+
+@pytest.mark.parametrize("tau", [(Fraction(0), Fraction(0)), (THIRD, -THIRD)],
+                         ids=["aligned", "translated"])
+def test_tree_and_maximal_match_fraction_links(tau):
+    rng = np.random.default_rng(29)
+    F = random_simple_field(rng, DyadicDomain(2, 4), 2)
+    levels, integrals = cube_integral_tree(F, tau)
+    ref_levels, ref_integrals = fraction_tree(F, tau)
+    for j, cubes in enumerate(ref_levels):
+        assert list(levels[j]) == [c.coords for c in cubes]
+        for cube in cubes:
+            assert np.array_equal(integrals[j][cube.coords].generators,
+                                  ref_integrals[j][cube.coords].generators)
+    MF = dyadic_frac_maximal(F, 0.25, tau)
+    for got, want in zip(MF.cells, fraction_maximal(F, 0.25, tau), strict=True):
+        assert np.array_equal(got.generators, want.generators)
 
 
 def test_average_of_constant_field_is_the_constant():
