@@ -377,13 +377,6 @@ def gauge_batch(B: ConvexBody, V: np.ndarray) -> np.ndarray:
     return np.maximum((V @ normals.T) / offsets, 0.0).max(axis=1)
 
 
-def contains_point(B: ConvexBody, v, tol: float = 1e-12) -> bool:
-    try:
-        return gauge(B, v) <= 1.0 + tol
-    except UnboundedGaugeError:
-        return False
-
-
 # -- Euclidean distance to a body, Hausdorff distance --------------------
 
 

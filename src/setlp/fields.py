@@ -59,10 +59,6 @@ class SetField:
         return cls(domain, cells)
 
 
-def scale_field(field: SetField, factor: float) -> SetField:
-    return SetField(field.domain, [scale(factor, c) for c in field.cells])
-
-
 def add_fields(a: SetField, b: SetField) -> SetField:
     if a.domain != b.domain:
         raise ValueError("field domains differ")

@@ -251,15 +251,24 @@ def _box_clip_volume(cube: DyadicCube) -> Fraction:
     return vol
 
 
+def _rational_sample(corners: np.ndarray, level: int) -> np.ndarray:
+    """Indices of the cubes that the verifiers cross-check through rational
+    boxes: every cube of a level with at most 128 cubes, else every cube
+    the domain's edge clips plus a stride of 31 through the rest."""
+    pick = ((corners < 0) | (corners + 3 > 3 << level)).any(axis=1)
+    pick[::31] = True
+    return np.flatnonzero(pick | (len(corners) <= 128))
+
+
 def verify_tiling(n: int, tau: tuple[Fraction, ...], level: int) -> bool:
     """Exact check that the grid's clipped cubes partition the unit cube.
 
     Cubes of one grid at one level are integer lattice translates of each
     other, so distinct coordinates imply disjointness; the partition then
     reduces to the identity sum(clipped volumes) == 1, evaluated in integer
-    arithmetic after scaling every endpoint by 3*2^level.  A stride of the
-    cubes is cross-checked against volumes recomputed from their rational
-    boxes.
+    arithmetic after scaling every endpoint by 3*2^level.  The cubes of
+    _rational_sample are cross-checked against volumes recomputed from
+    their rational boxes.
     """
     corners = _scaled_corners(n, tau, level)
     scale = 3 << level
@@ -269,7 +278,7 @@ def verify_tiling(n: int, tau: tuple[Fraction, ...], level: int) -> bool:
     if int(vols.sum(dtype=np.int64)) != scale ** n:
         return False
     cubes = cubes_covering_domain(n, tau, level)
-    for i in range(0, len(cubes), 31):
+    for i in _rational_sample(corners, level):
         exact = _box_clip_volume(cubes[i])
         if exact != cubes[i].clip_volume() or exact != Fraction(int(vols[i]), scale ** n):
             return False
@@ -281,8 +290,8 @@ def verify_nesting(n: int, tau: tuple[Fraction, ...], level: int) -> bool:
 
     In units of 1/(3*2^j) a cube occupies [a, a+3) per axis and parents
     occupy width-6 blocks anchored at 2*(3m + sign*3tau); nesting is the
-    statement that a minus the parent anchor offset is 0 or 3 mod 6.  A
-    stride of the cubes is cross-checked through parent_cube and the
+    statement that a minus the parent anchor offset is 0 or 3 mod 6.  The
+    cubes of _rational_sample are cross-checked through parent_cube and the
     rational boxes.
     """
     k3 = np.array(_thirds(tau), dtype=np.int64)
@@ -293,7 +302,8 @@ def verify_nesting(n: int, tau: tuple[Fraction, ...], level: int) -> bool:
         if not bool(np.all((rem == 0) | (rem == 3))):
             return False
         cubes = cubes_covering_domain(n, tau, j)
-        for cube in cubes[::31]:
+        for i in _rational_sample(corners, j):
+            cube = cubes[i]
             lo, hi = cube.box()
             if not parent_cube(cube).contains_box(lo, hi):
                 return False

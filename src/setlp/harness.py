@@ -4,15 +4,17 @@ discretized set fields and compare them against the predicted constants.
 Each suite returns an ExperimentReport whose per-trial records are enough to
 recompute every aggregate.  Reports serialize to canonical JSON (sorted keys,
 repr floats, no timing data) so identical configurations produce identical
-bytes regardless of thread count.
+bytes regardless of worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -184,15 +186,24 @@ def thread_count() -> int:
         return 1
 
 
+def _usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _run_trials(worker, indices):
-    """Run worker(i) for each index; results come back in submission order
-    whatever the thread count, so reports are byte-identical across runs."""
-    threads = thread_count()
-    if threads <= 1:
+    """Run worker(i) for each index on min(SETLP_THREADS, usable cores,
+    len(indices)) processes, in-process when that is 1.  Results keep index
+    order, so reports are byte-identical whatever the worker count.  worker
+    must pickle: a module-level function or a functools.partial of one."""
+    workers = min(thread_count(), _usable_cores(), len(indices))
+    if workers <= 1:
         return [worker(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, i) for i in indices]
-        return [f.result() for f in futures]
+    # fork children start with numpy and scipy imported
+    ctx = (multiprocessing.get_context("fork")
+           if "fork" in multiprocessing.get_all_start_methods() else None)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        return list(pool.map(worker, indices))
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -263,7 +274,8 @@ def _failure_fixture(config: ExperimentConfig, suite: str, records: list) -> str
 # marcinkiewicz: ||M_alpha F||_q <= C_t ||F||_p at interpolated exponents
 
 
-def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
+def _marcinkiewicz_exponents(config: ExperimentConfig) -> dict:
+    """ExponentConfig per interpolation parameter t."""
     alpha = config.alpha
     cfgs = {t: ExponentConfig.for_fractional_maximal(alpha, t) for t in config.ts}
     if config.exponents is not None:
@@ -272,35 +284,43 @@ def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
             raise ValueError(
                 f"supplied exponents give alpha={supplied.alpha}, config has {alpha}")
         cfgs[supplied.t] = supplied
+    return cfgs
+
+
+def _marcinkiewicz_trial(config: ExperimentConfig, i: int) -> dict:
+    alpha = config.alpha
+    cfgs = _marcinkiewicz_exponents(config)
+    n, dim, kind, fld = _trial(config, i)
+    # one maximal field serves every t: only the exponents change
+    mf = dyadic_frac_maximal(fld, alpha)
+    ratios = {}
+    oracle_gap = 0.0
+    for t, cfg in cfgs.items():
+        ratios[repr(t)] = _ratio(lp_norm(mf, cfg.q), lp_norm(fld, cfg.p))
+    if dim == 1:
+        # interval fields reduce to their radius functions exactly
+        radii = np.array([magnitude(c) for c in fld.cells])
+        smax = scalar_frac_maximal(radii, fld.domain, alpha)
+        oracle_gap = float(max(abs(magnitude(c) - s)
+                               for c, s in zip(mf.cells, smax)))
+    slack = min(c.interpolation_constant - ratios[repr(t)] for t, c in cfgs.items())
+    return {
+        "trial": i, "n": n, "d": dim, "kind": kind,
+        "ratios": ratios, "slack": slack, "oracle_gap": oracle_gap,
+        "ok": bool(slack >= -BOUND_SLACK and oracle_gap <= 1e-12),
+    }
+
+
+def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
+    cfgs = _marcinkiewicz_exponents(config)
     constants = {t: c.interpolation_constant for t, c in cfgs.items()}
-
-    def worker(i: int) -> dict:
-        n, dim, kind, fld = _trial(config, i)
-        # one maximal field serves every t: only the exponents change
-        mf = dyadic_frac_maximal(fld, alpha)
-        ratios = {}
-        oracle_gap = 0.0
-        for t, cfg in cfgs.items():
-            ratios[repr(t)] = _ratio(lp_norm(mf, cfg.q), lp_norm(fld, cfg.p))
-        if dim == 1:
-            # interval fields reduce to their radius functions exactly
-            radii = np.array([magnitude(c) for c in fld.cells])
-            smax = scalar_frac_maximal(radii, fld.domain, alpha)
-            oracle_gap = float(max(abs(magnitude(c) - s)
-                                   for c, s in zip(mf.cells, smax)))
-        slack = min(constants[t] - ratios[repr(t)] for t in cfgs)
-        return {
-            "trial": i, "n": n, "d": dim, "kind": kind,
-            "ratios": ratios, "slack": slack, "oracle_gap": oracle_gap,
-            "ok": bool(slack >= -BOUND_SLACK and oracle_gap <= 1e-12),
-        }
-
-    records = _run_trials(worker, range(config.trial_count("marcinkiewicz")))
+    records = _run_trials(functools.partial(_marcinkiewicz_trial, config),
+                          range(config.trial_count("marcinkiewicz")))
     worst = {repr(t): max(r["ratios"][repr(t)] for r in records) for t in cfgs}
     min_slack = min(r["slack"] for r in records)
     passed = all(r["ok"] for r in records)
     aggregate = {
-        "alpha": alpha,
+        "alpha": config.alpha,
         "constants": {repr(t): constants[t] for t in config.ts},
         "max_ratio": worst,
         "min_slack": min_slack,
@@ -319,42 +339,43 @@ def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
 # and strong (1/alpha, inf), plus one interpolated strong bound
 
 
+def _endpoint_trial(config: ExperimentConfig, i: int) -> dict:
+    n, dim, kind, fld = _trial(config, i)
+    alpha = _ENDPOINT_ALPHAS[i % len(_ENDPOINT_ALPHAS)]
+    cfg = ExponentConfig.for_fractional_maximal(alpha, 0.5)
+    norm_1 = lp_norm(fld, 1.0)
+    norm_hi = lp_norm(fld, 1.0 / alpha)
+
+    # every aligned cube at once via the integral tree
+    tree = cube_integral_tree(fld)
+    avg_weak = avg_strong = 0.0
+    for j, vols in enumerate(tree.volumes):
+        for coords, vol in vols.items():
+            if vol == 0.0:
+                continue
+            mag = magnitude(tree.integrals[j][coords]) * vol ** (alpha - 1.0)
+            # A_Q F is constant on Q: its L^{1/(1-alpha)} norm is
+            # mag * vol^{1-alpha} and its sup norm is mag
+            avg_weak = max(avg_weak, _ratio(mag * vol ** (1.0 - alpha), norm_1))
+            avg_strong = max(avg_strong, _ratio(mag, norm_hi))
+
+    mf = dyadic_frac_maximal(fld, alpha, tree=tree)
+    max_weak = _ratio(weak_norm(mf, cfg.q1), norm_1)
+    max_strong = _ratio(lp_norm(mf, math.inf), norm_hi)
+    mid = _ratio(lp_norm(mf, cfg.q), lp_norm(fld, cfg.p))
+    slack = min(1.0 - avg_weak, 1.0 - avg_strong, 1.0 - max_weak,
+                1.0 - max_strong, cfg.interpolation_constant - mid)
+    return {
+        "trial": i, "n": n, "d": dim, "kind": kind, "alpha": alpha,
+        "avg_weak": avg_weak, "avg_strong": avg_strong,
+        "max_weak": max_weak, "max_strong": max_strong,
+        "mid_ratio": mid, "slack": slack, "ok": slack >= -BOUND_SLACK,
+    }
+
+
 def run_endpoint_bounds(config: ExperimentConfig) -> ExperimentReport:
-    def worker(i: int) -> dict:
-        n, dim, kind, fld = _trial(config, i)
-        alpha = _ENDPOINT_ALPHAS[i % len(_ENDPOINT_ALPHAS)]
-        cfg = ExponentConfig.for_fractional_maximal(alpha, 0.5)
-        norm_1 = lp_norm(fld, 1.0)
-        norm_hi = lp_norm(fld, 1.0 / alpha)
-
-        # every aligned cube at once via the integral tree
-        levels, integrals = cube_integral_tree(fld)
-        avg_weak = avg_strong = 0.0
-        for j, cubes in enumerate(levels):
-            for coords, cube in cubes.items():
-                vol = float(cube.clip_volume())
-                if vol == 0.0:
-                    continue
-                mag = magnitude(integrals[j][coords]) * vol ** (alpha - 1.0)
-                # A_Q F is constant on Q: its L^{1/(1-alpha)} norm is
-                # mag * vol^{1-alpha} and its sup norm is mag
-                avg_weak = max(avg_weak, _ratio(mag * vol ** (1.0 - alpha), norm_1))
-                avg_strong = max(avg_strong, _ratio(mag, norm_hi))
-
-        mf = dyadic_frac_maximal(fld, alpha, tree=(levels, integrals))
-        max_weak = _ratio(weak_norm(mf, cfg.q1), norm_1)
-        max_strong = _ratio(lp_norm(mf, math.inf), norm_hi)
-        mid = _ratio(lp_norm(mf, cfg.q), lp_norm(fld, cfg.p))
-        slack = min(1.0 - avg_weak, 1.0 - avg_strong, 1.0 - max_weak,
-                    1.0 - max_strong, cfg.interpolation_constant - mid)
-        return {
-            "trial": i, "n": n, "d": dim, "kind": kind, "alpha": alpha,
-            "avg_weak": avg_weak, "avg_strong": avg_strong,
-            "max_weak": max_weak, "max_strong": max_strong,
-            "mid_ratio": mid, "slack": slack, "ok": slack >= -BOUND_SLACK,
-        }
-
-    records = _run_trials(worker, range(config.trial_count("endpoints")))
+    records = _run_trials(functools.partial(_endpoint_trial, config),
+                          range(config.trial_count("endpoints")))
     passed = all(r["ok"] for r in records)
     aggregate = {
         "worst": {key: max(r[key] for r in records)
@@ -404,14 +425,14 @@ def _averaging_sup_ratio(config: ExperimentConfig, domain: DyadicDomain,
         base = lp_norm(fld, p, rho)
         if base == 0.0:
             continue
-        levels, integrals = cube_integral_tree(fld)
+        tree = cube_integral_tree(fld)
         vol = domain.cell_volume
-        for j, cubes in enumerate(levels):
+        for j, cubes in enumerate(tree.levels):
             for coords, cube in cubes.items():
                 cells = aligned_cells(domain, cube)
                 if not cells:
                     continue
-                avg = scale(1.0 / float(cube.clip_volume()), integrals[j][coords])
+                avg = scale(1.0 / tree.volumes[j][coords], tree.integrals[j][coords])
                 # piecewise field: avg on Q, zero elsewhere
                 vals = [rho.norms[idx].of_body(avg) for idx in cells]
                 if p == math.inf:

@@ -133,12 +133,6 @@ def operator_norms(batch: np.ndarray) -> np.ndarray:
     return np.linalg.svd(batch, compute_uv=False)[..., 0]
 
 
-def matrix_norm_eval(W, v) -> float:
-    """|W v| for a matrix (SpdMatrix or plain array) and a vector."""
-    W = np.asarray(getattr(W, "arr", W), dtype=float)
-    return float(np.linalg.norm(W @ np.asarray(v, dtype=float)))
-
-
 @dataclass(frozen=True)
 class GmNormPair:
     """Double-dual interpolated norm plus its closed-form comparison norm.
@@ -205,17 +199,9 @@ class MatrixField:
     def dim(self) -> int:
         return self.cells[0].dim
 
-    @property
-    def op_norm_bound(self) -> float:
-        """Boundedness certificate: the largest cell operator norm."""
-        return max(c.operator_norm for c in self.cells)
-
     def stack(self) -> np.ndarray:
         """All cell matrices as one array, shape (num_cells, d, d)."""
         return np.stack([c.arr for c in self.cells])
-
-    def map_cells(self, fn) -> "MatrixField":
-        return MatrixField(self.domain, [fn(c) for c in self.cells])
 
     def to_dict(self) -> dict:
         return {

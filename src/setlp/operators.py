@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,19 +218,31 @@ def _normalize_tau(n: int, tau) -> tuple:
     return tau
 
 
-def cube_integral_tree(field: SetField, tau=None) -> tuple[list[dict], list[dict]]:
-    """Per-level cube maps and exact set integrals for one grid.
+class CubeTree(NamedTuple):
+    """Per level j = 0..k, dicts keyed by cube coords: levels[j] holds the
+    cube, integrals[j] its set integral clipped to the domain, parents[j]
+    its parent's coords (parents[0] is empty), volumes[j] its clipped
+    volume as a float."""
 
-    Returns (levels, integrals): levels[j] maps cube coords to the cube,
-    integrals[j] maps the same coords to the set integral over the cube
-    clipped to the domain.  Level k is read straight off the cells and
-    coarser levels are Minkowski sums of their children.
+    levels: list
+    integrals: list
+    parents: list
+    volumes: list
+
+
+def cube_integral_tree(field: SetField, tau=None) -> CubeTree:
+    """Cube maps, parent links, clipped volumes and exact set integrals
+    for one grid.  Level k is read straight off the cells and coarser
+    levels are Minkowski sums of their children.
     """
     domain = field.domain
     k, n, dim = domain.level, domain.n, field.dim
     tau = _normalize_tau(n, tau)
     aligned = all(t == 0 for t in tau)
     levels = [{c.coords: c for c in cubes_covering_domain(n, tau, j)} for j in range(k + 1)]
+    parents = [{}] + [{m: parent_cube(c).coords for m, c in cubes.items()}
+                      for cubes in levels[1:]]
+    volumes = [{m: float(c.clip_volume()) for m, c in cubes.items()} for cubes in levels]
 
     integrals: list[dict] = [dict() for _ in range(k + 1)]
     if aligned:
@@ -241,14 +254,14 @@ def cube_integral_tree(field: SetField, tau=None) -> tuple[list[dict], list[dict
             integrals[k][coords] = _cube_integral(field, cube)
     for j in range(k - 1, -1, -1):
         children: dict = {}
-        for coords, cube in levels[j + 1].items():
-            children.setdefault(parent_cube(cube).coords, []).append(integrals[j + 1][coords])
+        for coords, up in parents[j + 1].items():
+            children.setdefault(up, []).append(integrals[j + 1][coords])
         for coords in levels[j]:
             parts = children.get(coords)
             integrals[j][coords] = (
                 fold_minkowski(parts, dim) if parts else origin_body(dim)
             )
-    return levels, integrals
+    return CubeTree(levels, integrals, parents, volumes)
 
 
 def _maximal_for_grid(field: SetField, alpha: float, tau, tree=None) -> SetField:
@@ -256,18 +269,17 @@ def _maximal_for_grid(field: SetField, alpha: float, tau, tree=None) -> SetField
     domain = field.domain
     k, n, dim = domain.level, domain.n, field.dim
     aligned = all(t == 0 for t in tau)
-    levels, integrals = tree if tree is not None else cube_integral_tree(field, tau)
+    tree = tree if tree is not None else cube_integral_tree(field, tau)
 
     # union of fractional averages along each ancestor chain, root down
     accum: list[dict] = [dict() for _ in range(k + 1)]
     for j in range(k + 1):
-        for coords, cube in levels[j].items():
-            factor = float(cube.clip_volume()) ** (alpha - 1.0)
-            avg = scale(factor, integrals[j][coords])
+        for coords, vol in tree.volumes[j].items():
+            avg = scale(vol ** (alpha - 1.0), tree.integrals[j][coords])
             if j == 0:
                 accum[0][coords] = avg
             else:
-                accum[j][coords] = conv_union(accum[j - 1][parent_cube(cube).coords], avg)
+                accum[j][coords] = conv_union(accum[j - 1][tree.parents[j][coords]], avg)
 
     out = []
     if aligned:
@@ -292,9 +304,9 @@ def dyadic_frac_maximal(field: SetField, alpha: float, tau=None, *,
                         tree=None) -> SetField:
     """Fractional maximal field over one dyadic grid (default untranslated).
 
-    tree, if given, must be the (levels, integrals) pair from
-    cube_integral_tree for the same field and grid; callers that already
-    hold the tree skip its reconstruction.
+    tree, if given, must be the CubeTree from cube_integral_tree for the
+    same field and grid; callers that already hold the tree skip its
+    reconstruction.
     """
     alpha = _check_alpha(alpha)
     tau = _normalize_tau(field.domain.n, tau)

@@ -391,24 +391,5 @@ class GeometricMeanDoubleDual(Seminorm):
         """The raw geometric mean p_t on a stack of vectors."""
         return self.mean.values(V)
 
-    def mean_dual_values(self, V) -> np.ndarray:
-        """The (single) dual p_t* at arbitrary vectors, refined on demand."""
-        return dual_values(self.mean.values, self.dim, V, directions=self.directions)
-
     def __repr__(self):
         return f"GeometricMeanDoubleDual(t={self.t}, directions={self.directions})"
-
-
-# -- module-level operations ----------------------------------------------
-
-
-def eval_seminorm(rho: Seminorm, A: ConvexBody) -> float:
-    """sup of a seminorm over a body, computed at the generators."""
-    if not isinstance(rho, Seminorm):
-        raise TypeError("eval_seminorm needs a genuine seminorm (convex evaluator)")
-    return rho.of_body(A)
-
-
-def dual_seminorm_eval(p: HomogeneousFunctional, v, *, directions: int | None = None) -> float:
-    """Evaluate the dual of ``p`` at ``v`` (closed form where available)."""
-    return DualNorm(p, directions=directions).value(v)

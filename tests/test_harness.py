@@ -1,6 +1,9 @@
+import functools
 import json
 import math
 import os
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -15,8 +18,12 @@ from setlp.harness import (
     SUITES,
     ExperimentConfig,
     ExperimentReport,
+    _endpoint_trial,
     _failure_fixture,
     _jsonable,
+    _marcinkiewicz_trial,
+    _run_trials,
+    _usable_cores,
     run_bodies_selftest,
     run_endpoint_bounds,
     run_marcinkiewicz,
@@ -182,6 +189,49 @@ def test_reports_identical_across_thread_counts(monkeypatch):
     monkeypatch.setenv("SETLP_THREADS", "4")
     threaded = run_marcinkiewicz(cfg).to_json()
     assert serial == threaded
+
+
+def test_pool_reports_equal_serial_reports(monkeypatch):
+    cfg = ExperimentConfig(seed=5, level=3, trials=8, ts=(0.5,))
+    for run in (run_marcinkiewicz, run_endpoint_bounds):
+        monkeypatch.setenv("SETLP_THREADS", "1")
+        serial = run(cfg).to_json()
+        monkeypatch.setenv("SETLP_THREADS", "2")
+        assert run(cfg).to_json() == serial
+
+
+def _trial_pid(i):
+    time.sleep(0.2)  # long enough that one worker cannot take every index
+    return os.getpid()
+
+
+def _broken_trial(i):
+    if i == 3:
+        raise ValueError(f"trial {i} broke")
+    return i
+
+
+@pytest.mark.skipif(_usable_cores() < 2, reason="needs two usable cores")
+def test_trials_run_in_worker_processes(monkeypatch):
+    monkeypatch.setenv("SETLP_THREADS", "2")
+    pids = _run_trials(_trial_pid, range(6))
+    assert len(set(pids)) >= 2
+    assert os.getpid() not in pids
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    monkeypatch.setenv("SETLP_THREADS", "2")
+    with pytest.raises(ValueError, match="trial 3 broke"):
+        _run_trials(_broken_trial, range(6))
+
+
+def test_trial_workers_pickle():
+    cfg = ExperimentConfig(seed=2, level=2, trials=2)
+    for fn in (_marcinkiewicz_trial, _endpoint_trial):
+        worker = functools.partial(fn, cfg)
+        back = pickle.loads(pickle.dumps(worker))
+        assert back.func is fn and back.args == (cfg,)
+        assert back(1) == worker(1)
 
 
 def test_cli_runs_suite_and_writes_report(tmp_path, capsys):

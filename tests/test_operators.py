@@ -75,6 +75,13 @@ def fraction_tree(field, tau):
     return levels, integrals
 
 
+def fraction_volume(cube):
+    """Clipped volume from the rational box."""
+    lo, hi = cube.box()
+    return math.prod(max(Fraction(0), min(b, Fraction(1)) - max(a, Fraction(0)))
+                     for a, b in zip(lo, hi))
+
+
 def fraction_maximal(field, alpha, tau):
     """dyadic_frac_maximal rebuilt on fraction_tree with rational volumes."""
     domain = field.domain
@@ -82,9 +89,7 @@ def fraction_maximal(field, alpha, tau):
     accum = [dict() for _ in levels]
     for j, cubes in enumerate(levels):
         for cube in cubes:
-            lo, hi = cube.box()
-            vol = math.prod(max(Fraction(0), min(b, Fraction(1)) - max(a, Fraction(0)))
-                            for a, b in zip(lo, hi))
+            vol = fraction_volume(cube)
             avg = scale(float(vol) ** (alpha - 1.0), integrals[j][cube.coords])
             accum[j][cube.coords] = (avg if j == 0 else conv_union(
                 accum[j - 1][fraction_parent_coords(cube)], avg))
@@ -106,13 +111,18 @@ def fraction_maximal(field, alpha, tau):
 def test_tree_and_maximal_match_fraction_links(tau):
     rng = np.random.default_rng(29)
     F = random_simple_field(rng, DyadicDomain(2, 4), 2)
-    levels, integrals = cube_integral_tree(F, tau)
+    tree = cube_integral_tree(F, tau)
     ref_levels, ref_integrals = fraction_tree(F, tau)
+    assert tree.parents[0] == {}
     for j, cubes in enumerate(ref_levels):
-        assert list(levels[j]) == [c.coords for c in cubes]
+        assert list(tree.levels[j]) == [c.coords for c in cubes]
         for cube in cubes:
-            assert np.array_equal(integrals[j][cube.coords].generators,
-                                  ref_integrals[j][cube.coords].generators)
+            m = cube.coords
+            assert np.array_equal(tree.integrals[j][m].generators,
+                                  ref_integrals[j][m].generators)
+            assert tree.volumes[j][m] == float(fraction_volume(cube))
+            if j > 0:
+                assert tree.parents[j][m] == fraction_parent_coords(cube)
     MF = dyadic_frac_maximal(F, 0.25, tau)
     for got, want in zip(MF.cells, fraction_maximal(F, 0.25, tau), strict=True):
         assert np.array_equal(got.generators, want.generators)
@@ -161,7 +171,7 @@ def test_integral_tree_matches_direct_averages():
     rng = np.random.default_rng(23)
     domain = DyadicDomain(1, 4)
     F = random_simple_field(rng, domain, 2)
-    levels, integrals = cube_integral_tree(F)
+    levels, integrals, _, _ = cube_integral_tree(F)
     for j, cubes in enumerate(levels):
         for coords, cube in cubes.items():
             direct = frac_average(F, cube, 0.0)
