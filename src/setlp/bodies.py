@@ -80,7 +80,7 @@ def _prune_full_rank(G: np.ndarray) -> np.ndarray:
     return G[keep]
 
 
-def _prune(dim: int, G: np.ndarray, cap: int | None) -> np.ndarray:
+def _prune(dim: int, G: np.ndarray) -> np.ndarray:
     if len(G) == 0:
         return G.reshape(0, dim)
     norms = np.linalg.norm(G, axis=1)
@@ -96,8 +96,8 @@ def _prune(dim: int, G: np.ndarray, cap: int | None) -> np.ndarray:
             G = _prune_full_rank(G)
         except QhullError:
             G = _prune_degenerate(dim, G)
-    if cap is not None and len(G) > cap:
-        G = _reduce_to_cap(G, cap)
+    if len(G) > DEFAULT_GENERATOR_CAP:
+        G = _reduce_to_cap(G, DEFAULT_GENERATOR_CAP)
     return np.ascontiguousarray(G)
 
 
@@ -125,16 +125,16 @@ def _prune_degenerate(dim: int, G: np.ndarray) -> np.ndarray:
 class ConvexBody:
     """Symmetric convex polytope conv{+-g_i} in R^d, d in {1, 2, 3}."""
 
-    __slots__ = ("dim", "generators", "_mag", "_ccw", "_facets", "_tris")
+    __slots__ = ("dim", "generators", "_mag", "_ccw", "_facets")
 
-    def __init__(self, dim, generators, *, prune=True, cap=DEFAULT_GENERATOR_CAP):
+    def __init__(self, dim, generators, *, prune=True):
         if dim not in (1, 2, 3):
             raise ValueError(f"body dimension must be 1, 2 or 3, got {dim}")
         G = np.asarray(generators, dtype=float).reshape(-1, dim)
         if not np.all(np.isfinite(G)):
             raise ValueError("generators must be finite")
         if prune:
-            G = _prune(dim, G, cap)
+            G = _prune(dim, G)
         G = np.ascontiguousarray(G, dtype=float)
         G.setflags(write=False)
         self.dim = dim
@@ -142,7 +142,6 @@ class ConvexBody:
         self._mag = None
         self._ccw = None
         self._facets = None
-        self._tris = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -232,7 +231,7 @@ def scale(lam: float, A: ConvexBody) -> ConvexBody:
     return ConvexBody(A.dim, abs(lam) * A.generators, prune=False)
 
 
-def _minkowski_polygons(A: ConvexBody, B: ConvexBody, cap) -> ConvexBody:
+def _minkowski_polygons(A: ConvexBody, B: ConvexBody) -> ConvexBody:
     """Planar Minkowski sum by merging boundary edges in angle order."""
     PA = A.ccw_vertices()
     PB = B.ccw_vertices()
@@ -251,10 +250,10 @@ def _minkowski_polygons(A: ConvexBody, B: ConvexBody, cap) -> ConvexBody:
     ang = np.mod(ang, 2.0 * np.pi)
     order = np.argsort(ang, kind="stable")
     verts = (PA[0] + PB[0]) + np.cumsum(edges[order], axis=0)
-    return ConvexBody(2, verts, cap=cap)
+    return ConvexBody(2, verts)
 
 
-def minkowski_sum(A: ConvexBody, B: ConvexBody, *, cap=DEFAULT_GENERATOR_CAP) -> ConvexBody:
+def minkowski_sum(A: ConvexBody, B: ConvexBody) -> ConvexBody:
     """Minkowski sum A + B; supports add exactly."""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch in Minkowski sum")
@@ -267,12 +266,12 @@ def minkowski_sum(A: ConvexBody, B: ConvexBody, *, cap=DEFAULT_GENERATOR_CAP) ->
         b = float(np.max(np.abs(B.generators)))
         return ConvexBody(1, [[a + b]], prune=False)
     if A.dim == 2:
-        return _minkowski_polygons(A, B, cap)
+        return _minkowski_polygons(A, B)
     GA, GB = A.generators, B.generators
     sums = GA[:, None, :] + GB[None, :, :]
     diffs = GA[:, None, :] - GB[None, :, :]
     cand = np.vstack([sums.reshape(-1, 3), diffs.reshape(-1, 3)])
-    return ConvexBody(3, cand, cap=cap)
+    return ConvexBody(3, cand)
 
 
 def _polygon_contains(A: ConvexBody, B: ConvexBody) -> bool:
@@ -287,7 +286,7 @@ def _polygon_contains(A: ConvexBody, B: ConvexBody) -> bool:
     return bool(np.all(reach <= offsets))
 
 
-def conv_union(A: ConvexBody, B: ConvexBody, *, cap=DEFAULT_GENERATOR_CAP) -> ConvexBody:
+def conv_union(A: ConvexBody, B: ConvexBody) -> ConvexBody:
     """Convex hull of the union: generator lists concatenated, then pruned.
 
     One-sided containment short-circuits to the larger body; chains of
@@ -306,10 +305,10 @@ def conv_union(A: ConvexBody, B: ConvexBody, *, cap=DEFAULT_GENERATOR_CAP) -> Co
             return A
         if _polygon_contains(B, A):
             return B
-    return ConvexBody(A.dim, np.vstack([A.generators, B.generators]), cap=cap)
+    return ConvexBody(A.dim, np.vstack([A.generators, B.generators]))
 
 
-def fold_minkowski(bodies, dim: int, *, cap=DEFAULT_GENERATOR_CAP) -> ConvexBody:
+def fold_minkowski(bodies, dim: int) -> ConvexBody:
     """Balanced pairwise Minkowski sum of a sequence of bodies."""
     items = list(bodies)
     if not items:
@@ -317,7 +316,7 @@ def fold_minkowski(bodies, dim: int, *, cap=DEFAULT_GENERATOR_CAP) -> ConvexBody
     while len(items) > 1:
         nxt = []
         for i in range(0, len(items) - 1, 2):
-            nxt.append(minkowski_sum(items[i], items[i + 1], cap=cap))
+            nxt.append(minkowski_sum(items[i], items[i + 1]))
         if len(items) % 2:
             nxt.append(items[-1])
         items = nxt
@@ -375,99 +374,3 @@ def gauge_batch(B: ConvexBody, V: np.ndarray) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     normals, offsets = _facet_equations(B)
     return np.maximum((V @ normals.T) / offsets, 0.0).max(axis=1)
-
-
-# -- Euclidean distance to a body, Hausdorff distance --------------------
-
-
-def _segment_distances(x: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Distances from point x to segments P[i]..Q[i]."""
-    D = Q - P
-    L2 = np.einsum("ij,ij->i", D, D)
-    L2 = np.where(L2 == 0.0, 1.0, L2)
-    t = np.clip(np.einsum("ij,ij->i", x - P, D) / L2, 0.0, 1.0)
-    proj = P + t[:, None] * D
-    return np.linalg.norm(proj - x, axis=1)
-
-
-def _triangle_distance(x: np.ndarray, tri: np.ndarray) -> float:
-    """Distance from point x to a closed triangle in R^3."""
-    a, b, c = tri
-    ab, ac, ax = b - a, c - a, x - a
-    # solve least squares for barycentric coordinates of the projection
-    M = np.array([[ab @ ab, ab @ ac], [ab @ ac, ac @ ac]])
-    rhs = np.array([ab @ ax, ac @ ax])
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det > 1e-300:
-        s = (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det
-        t = (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det
-        if s >= 0.0 and t >= 0.0 and s + t <= 1.0:
-            return float(np.linalg.norm(a + s * ab + t * ac - x))
-    edges_p = np.array([a, b, c])
-    edges_q = np.array([b, c, a])
-    return float(np.min(_segment_distances(x, edges_p, edges_q)))
-
-
-def _distance_full_rank(x: np.ndarray, B: ConvexBody) -> float:
-    dim = B.dim
-    if dim == 1:
-        r = float(np.max(np.abs(B.generators)))
-        return max(0.0, abs(float(x[0])) - r)
-    normals, offsets = _facet_equations(B)
-    if float(np.max(normals @ x - offsets)) <= 0.0:
-        return 0.0
-    if dim == 2:
-        P = B.ccw_vertices()
-        Q = np.roll(P, -1, axis=0)
-        return float(np.min(_segment_distances(x, P, Q)))
-    if B._tris is None:
-        hull = ConvexHull(B.vertices())
-        B._tris = (hull.points, hull.simplices)
-    pts, simplices = B._tris
-    return float(min(_triangle_distance(x, pts[s]) for s in simplices))
-
-
-def distance_to_body(x, B: ConvexBody) -> float:
-    """Euclidean distance from a point to the body."""
-    x = np.asarray(x, dtype=float)
-    if B.is_origin():
-        return float(np.linalg.norm(x))
-    G = B.generators
-    rank_deficient = (
-        len(G) < B.dim or np.linalg.matrix_rank(G, tol=_RANK_RTOL * magnitude(B)) < B.dim
-    )
-    if B.dim > 1 and rank_deficient:
-        basis = _span_basis(B)
-        coords = basis.T @ x
-        perp = x - basis @ coords
-        inner = ConvexBody(basis.shape[1], G @ basis, prune=True)
-        d_in = distance_to_body(coords, inner)
-        return float(np.hypot(np.linalg.norm(perp), d_in))
-    return _distance_full_rank(x, B)
-
-
-def hausdorff(A: ConvexBody, B: ConvexBody, norm=None) -> float:
-    """Hausdorff distance between two bodies in a norm geometry.
-
-    ``norm`` is None (Euclidean) or a matrix-induced norm object with an
-    invertible matrix; the matrix case maps both bodies through the matrix
-    and reduces to the Euclidean computation.  The directed distance from
-    a convex body is attained at a vertex, so vertices suffice.
-    """
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch in Hausdorff distance")
-    if norm is not None:
-        from .seminorms import MatrixNorm
-
-        if not isinstance(norm, MatrixNorm) or not norm.is_invertible:
-            raise ValueError("Hausdorff distance needs the Euclidean or an invertible matrix-induced norm")
-        W = norm.matrix
-        A = ConvexBody(A.dim, A.generators @ W.T) if not A.is_origin() else A
-        B = ConvexBody(B.dim, B.generators @ W.T) if not B.is_origin() else B
-
-    def directed(P: ConvexBody, Q: ConvexBody) -> float:
-        if P.is_origin():
-            return distance_to_body(np.zeros(P.dim), Q)
-        return max(distance_to_body(v, Q) for v in P.vertices())
-
-    return max(directed(A, B), directed(B, A))

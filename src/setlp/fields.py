@@ -15,11 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import (
-    ConvexBody, fold_minkowski, hausdorff, magnitude, minkowski_sum, origin_body, scale,
-)
+from .bodies import ConvexBody, fold_minkowski, magnitude, minkowski_sum, origin_body, scale
 from .grids import DyadicDomain
-from .matrices import MatrixField, SpdMatrix
+from .matrices import MatrixField
 from .seminorms import EuclideanNorm, GeometricMeanDoubleDual, MatrixNorm, Seminorm
 
 
@@ -259,30 +257,6 @@ def distribution(field: SetField, rho=None) -> DistributionTable:
 
 def weak_norm(field: SetField, p: float, rho=None) -> float:
     return distribution(field, rho).weak_norm(p)
-
-
-def dp_distance(a: SetField, b: SetField, p: float, norm=None) -> float:
-    """L^p average of the per-cell Hausdorff distance between two fields.
-
-    norm may be None, one MatrixNorm for every cell, or a matrix-kind
-    NormField aligned with the grid.
-    """
-    if a.domain != b.domain:
-        raise ValueError("field domains differ")
-    if isinstance(norm, NormField):
-        if norm.domain != a.domain:
-            raise ValueError("norm field grid does not match the set fields")
-        cell_norms = norm.norms
-    else:
-        cell_norms = [norm] * len(a.cells)
-    gaps = [hausdorff(x, y, norm=nm) for x, y, nm in zip(a.cells, b.cells, cell_norms)]
-    if p == math.inf:
-        return max(gaps)
-    p = float(p)
-    if not p > 0.0:
-        raise ValueError(f"p must be positive or inf, got {p}")
-    vol = a.domain.cell_volume
-    return math.fsum(g ** p * vol for g in gaps) ** (1.0 / p)
 
 
 def random_simple_field(rng: np.random.Generator, domain: DyadicDomain, dim: int,

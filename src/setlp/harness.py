@@ -20,13 +20,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._version import __version__
-from .bodies import ConvexBody, magnitude, minkowski_sum, scale, support_batch
+from .bodies import ConvexBody, magnitude, minkowski_sum, support_batch
 from .fields import NormField, SetField, lp_norm, random_simple_field, weak_norm
 from .grids import DyadicDomain, grid_translations, verify_nesting, verify_tiling
 from .matrices import MatrixField, gm_double_dual_norm, random_spd_matrix
 from .operators import (
     ExponentConfig,
-    aligned_cells,
     cube_integral_tree,
     dyadic_frac_maximal,
     scalar_frac_maximal,
@@ -36,9 +35,9 @@ from .seminorms import DualNorm, GaugeNorm, direction_grid
 from .weights import (
     ap_matrix_constant,
     ap_norm_check,
+    averaging_sup_ratio,
     classical_ap_constant,
     fixture_weights,
-    operator_bound_scan,
     reverse_factorization,
 )
 
@@ -414,33 +413,15 @@ def _fixture_pair(name: str, domain: DyadicDomain) -> tuple[MatrixField, MatrixF
     raise ValueError(f"unknown fixture pair: {name}")
 
 
-def _averaging_sup_ratio(config: ExperimentConfig, domain: DyadicDomain,
-                         rho: NormField, p: float, trials: int) -> float:
-    """sup over trials and aligned cubes of ||A_Q F||_{p,rho} / ||F||_{p,rho}."""
-    dim = rho.dim
-    sup = 0.0
+def _averaging_samples(config: ExperimentConfig, domain: DyadicDomain,
+                       dim: int, trials: int) -> list:
+    """(field, cube tree) of each riesz-thorin trial field."""
+    samples = []
     for i in range(trials):
         rng = _trial_rng(config.seed + 1000, i)
         fld = trial_field(rng, domain, dim, _TRIAL_KINDS[i % len(_TRIAL_KINDS)])
-        base = lp_norm(fld, p, rho)
-        if base == 0.0:
-            continue
-        tree = cube_integral_tree(fld)
-        vol = domain.cell_volume
-        for j, cubes in enumerate(tree.levels):
-            for coords, cube in cubes.items():
-                cells = aligned_cells(domain, cube)
-                if not cells:
-                    continue
-                avg = scale(1.0 / tree.volumes[j][coords], tree.integrals[j][coords])
-                # piecewise field: avg on Q, zero elsewhere
-                vals = [rho.norms[idx].of_body(avg) for idx in cells]
-                if p == math.inf:
-                    out = float(max(vals))
-                else:
-                    out = math.fsum(v ** p * vol for v in vals) ** (1.0 / p)
-                sup = max(sup, out / base)
-    return sup
+        samples.append((fld, cube_integral_tree(fld)))
+    return samples
 
 
 def run_riesz_thorin(config: ExperimentConfig) -> ExperimentReport:
@@ -454,22 +435,30 @@ def run_riesz_thorin(config: ExperimentConfig) -> ExperimentReport:
     ladder = sorted(set(ladder))
     directions = config.directions or 240
 
-    records = []
-    passed = True
-    for name in config.fixtures:
-        sups = []
-        endpoint_constants = {}
-        for lvl in ladder:
-            domain = DyadicDomain(1, lvl)
+    # one level at a time: its trial fields and trees serve every fixture
+    # of the same value dimension, and are dropped before the next level's
+    # are built
+    fixture_sups = [[] for _ in config.fixtures]
+    fixture_endpoints = [{} for _ in config.fixtures]
+    for lvl in ladder:
+        domain = DyadicDomain(1, lvl)
+        samples = {}
+        for k, name in enumerate(config.fixtures):
             mf0, mf1 = _fixture_pair(name, domain)
             rho = NormField.gm_double_dual(mf0, mf1, t, directions=directions)
-            sup = _averaging_sup_ratio(config, domain, rho, p, trials)
-            sups.append(sup)
+            if rho.dim not in samples:
+                samples[rho.dim] = _averaging_samples(config, domain, rho.dim, trials)
+            fixture_sups[k].append(averaging_sup_ratio(rho, p, samples[rho.dim]))
             if lvl == ladder[-1]:
-                endpoint_constants = {
+                fixture_endpoints[k] = {
                     "p0": ap_matrix_constant(mf0, p0).constant,
                     "p1": ap_matrix_constant(mf1, p1).constant,
                 }
+
+    records = []
+    passed = True
+    for name, sups, endpoint_constants in zip(config.fixtures, fixture_sups,
+                                              fixture_endpoints):
         growth = max(
             (sups[i + 1] / sups[i] for i in range(len(sups) - 1) if sups[i] > 0),
             default=1.0,
@@ -592,7 +581,9 @@ def run_reverse_factorization(config: ExperimentConfig) -> ExperimentReport:
     matrix_ap = ap_matrix_constant(wbar, p).constant
     rho = NormField.from_matrix_field(wbar)
     norm_check = ap_norm_check(rho, p, directions=config.directions or 180)
-    scan = operator_bound_scan(rho, p, trials=12, seed=config.seed)
+    scan_fields = [random_simple_field(_trial_rng(config.seed, i), domain, rho.dim)
+                   for i in range(12)]
+    scan = averaging_sup_ratio(rho, p, [(f, cube_integral_tree(f)) for f in scan_fields])
     passed = passed and norm_check.passed
 
     aggregate = {
@@ -601,7 +592,7 @@ def run_reverse_factorization(config: ExperimentConfig) -> ExperimentReport:
         "matrix_ap_side_by_side": {
             "matrix": matrix_ap,
             "norm_field": norm_check.constant,
-            "averaging_scan_max": scan.max_ratio,
+            "averaging_scan_max": scan,
         },
         "pairs": len(pair_records),
     }

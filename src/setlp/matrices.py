@@ -85,13 +85,6 @@ class SpdMatrix:
         return cls(np.asarray(data["entries"], dtype=float).reshape(d, d))
 
 
-def spd_power(A: SpdMatrix, t: float) -> SpdMatrix:
-    """A^t through the symmetric eigendecomposition."""
-    if not isinstance(A, SpdMatrix):
-        A = SpdMatrix(A)
-    return A.power(t)
-
-
 def geometric_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     """Weighted geometric mean of two SPD matrices, t strictly in (0, 1)."""
     if not isinstance(A, SpdMatrix):

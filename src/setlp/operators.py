@@ -35,7 +35,6 @@ from .grids import (
     cube_containing_point,
     cubes_covering_domain,
     dyadic_cube_family,
-    grid_translations,
     parent_cube,
 )
 from .seminorms import direction_grid
@@ -311,18 +310,6 @@ def dyadic_frac_maximal(field: SetField, alpha: float, tau=None, *,
     alpha = _check_alpha(alpha)
     tau = _normalize_tau(field.domain.n, tau)
     return _maximal_for_grid(field, alpha, tau, tree)
-
-
-def full_maximal_envelope(field: SetField, alpha: float) -> SetField:
-    """Cellwise convex union of the maximal fields of all translated grids."""
-    merged = None
-    for tau in grid_translations(field.domain.n):
-        part = dyadic_frac_maximal(field, alpha, tau)
-        if merged is None:
-            merged = list(part.cells)
-        else:
-            merged = [conv_union(a, b) for a, b in zip(merged, part.cells)]
-    return SetField(field.domain, merged)
 
 
 def _halve(a: np.ndarray, axis: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bodies import ConvexBody, UnboundedGaugeError, gauge, gauge_batch, support_batch
+from .bodies import ConvexBody, gauge, gauge_batch, support_batch
 
 #: default direction-grid sizes per ambient dimension
 DEFAULT_DIRECTIONS = {1: 1, 2: 720, 3: 2562}

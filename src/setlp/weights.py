@@ -2,12 +2,13 @@
 
 The matrix characteristic of an SPD field W over a cube family is
 
-    sup_Q ( avg_x ( avg_y ||W(x) W(y)^-1||_op^p' )^(p/p') )^(1/p),
+    sup_Q ( avg_x ( avg_y ||W(x) W(y)^-1||_op^p' )^(p/p') )^(1/p).
 
-with the p=1 variant  sup_Q max_x avg_y ||W(x)^-1 W(y)||_op.  Scalar
-one-dimensional fields reduce to the classical weight constants (the
-p-th root of the classical A_p product for the same cubes), which the
-module also computes directly as an independent oracle.
+Scalar one-dimensional fields reduce to the classical weight constant
+(the p-th root of the classical A_p product for the same cubes), which
+the module also computes directly as an independent oracle.  The
+averaging characterization is measured through the sup over aligned
+cubes of the weighted norm ratio of the cube average operator.
 
 Reverse factorization combines two SPD fields cellwise through the
 weighted geometric mean of their squares; the induced norm is expected
@@ -23,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import NormField, SetField, lp_norm, random_simple_field
+from .bodies import scale
+from .fields import NormField, lp_norm
 from .grids import DyadicCube, DyadicDomain, dyadic_cube_family
 from .matrices import MatrixField, SpdMatrix, geometric_mean, operator_norms
-from .operators import _cell_overlaps, aligned_cells, frac_average
+from .operators import _cell_overlaps, aligned_cells
 from .seminorms import DegenerateSeminormError, DualNorm, Seminorm, direction_grid
 
 
@@ -50,9 +52,6 @@ class ApReport:
             "fixture": self.fixture,
             "per_cube": [[key, value] for key, value in self.per_cube],
         }
-
-    def csv_row(self) -> str:
-        return f"{self.fixture or ''},{self.p!r},{self.grid_level},{self.constant!r}"
 
 
 def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.ndarray:
@@ -90,26 +89,6 @@ def ap_matrix_constant(W: MatrixField, p: float, cubes=None, *,
         per.append((cube.key(), float(inner.mean() ** (1.0 / p))))
     constant = max(v for _, v in per)
     return ApReport(p=p, constant=constant, per_cube=tuple(per),
-                    grid_level=domain.level,
-                    family=f"aligned dyadic cubes, {len(cubes)} total",
-                    fixture=fixture)
-
-
-def a1_matrix_constant(W: MatrixField, cubes=None, *,
-                       fixture: str | None = None, chunk: int = 128) -> ApReport:
-    """p = 1 matrix weight characteristic: per-cube max of row averages."""
-    domain = W.domain
-    cubes = _family(domain, cubes)
-    stack = W.stack()
-    inverse = np.linalg.inv(stack)
-    norms = _pairwise_opnorms(inverse, stack, chunk)
-    per = []
-    for cube in cubes:
-        idx = aligned_cells(domain, cube)
-        block = norms[np.ix_(idx, idx)]
-        per.append((cube.key(), float(block.mean(axis=1).max())))
-    constant = max(v for _, v in per)
-    return ApReport(p=1.0, constant=constant, per_cube=tuple(per),
                     grid_level=domain.level,
                     family=f"aligned dyadic cubes, {len(cubes)} total",
                     fixture=fixture)
@@ -169,11 +148,6 @@ def averaged_norm_for_cube(rho: NormField, p: float, cube: DyadicCube) -> Averag
     if not members:
         raise ValueError("cube does not meet the norm field domain")
     return AveragedNorm(members, weights, p)
-
-
-def rho_average(rho: NormField, p: float, cube: DyadicCube, v) -> float:
-    """Cube average of x -> rho_x(v)^p, to the 1/p power."""
-    return float(averaged_norm_for_cube(rho, p, cube).value(v))
 
 
 @dataclass(frozen=True)
@@ -409,62 +383,28 @@ def classical_ap_constant(weight_values, domain: DyadicDomain, p: float,
     return best
 
 
-def classical_a1_constant(weight_values, domain: DyadicDomain, cubes=None) -> float:
-    """Classical scalar constant at p = 1: sup_Q (avg w) / (min w)."""
-    w = np.asarray(weight_values, dtype=float)
-    if (w <= 0.0).any():
-        raise ValueError("weights must be positive")
-    best = 0.0
-    for cube in _family(domain, cubes):
-        idx = aligned_cells(domain, cube)
-        part = w[idx]
-        best = max(best, part.mean() / part.min())
-    return best
+def averaging_sup_ratio(rho: NormField, p: float, samples) -> float:
+    """sup over samples F and aligned cubes Q of ||A_Q F|| / ||F||, both
+    norms taken in the rho-weighted L^p.
 
-
-@dataclass(frozen=True)
-class AveragingBoundScan:
-    """Measured averaging-operator ratios over random trial fields."""
-
-    p: float
-    ratios: tuple
-    max_ratio: float
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "max_ratio": self.max_ratio, "ratios": list(self.ratios)}
-
-
-def operator_bound_scan(rho: NormField, p: float, *, trials: int = 50,
-                        seed: int = 0, cubes=None,
-                        generators_per_cell: int = 3) -> AveragingBoundScan:
-    """Per-trial sup over cubes of the weighted averaging-operator ratio.
-
-    For each random field F and cube Q this measures the norm of the
-    cube average (supported on Q) against the norm of F, both in the
-    rho-weighted p-space.  Finiteness of the sup is the operational
-    content of the averaging characterization.
+    samples holds (field, tree) pairs on rho's grid, tree being
+    cube_integral_tree(field); A_Q F is the cube average on Q and zero
+    elsewhere.  Finiteness of the sup is the operational content of the
+    averaging characterization.
     """
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     domain = rho.domain
-    cubes = _family(domain, cubes)
-    cube_cells = [aligned_cells(domain, cube) for cube in cubes]
     vol = domain.cell_volume
-    ratios = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        field = random_simple_field(rng, domain, rho.dim,
-                                    generators_per_cell=generators_per_cell)
+    sup = 0.0
+    for field, tree in samples:
         base = lp_norm(field, p, rho)
         if base == 0.0:
-            ratios.append(0.0)
             continue
-        worst = 0.0
-        for cube, idx in zip(cubes, cube_cells):
-            avg = frac_average(field, cube, 0.0)
-            vals = [rho.norms[i].of_body(avg) for i in idx]
-            out = math.fsum(v ** p * vol for v in vals) ** (1.0 / p)
-            worst = max(worst, out / base)
-        ratios.append(float(worst))
-    return AveragingBoundScan(p=p, ratios=tuple(ratios), max_ratio=max(ratios))
+        for j, cubes in enumerate(tree.levels):
+            for coords, cube in cubes.items():
+                avg = scale(1.0 / tree.volumes[j][coords], tree.integrals[j][coords])
+                vals = [rho.norms[idx].of_body(avg) for idx in aligned_cells(domain, cube)]
+                sup = max(sup, math.fsum(v ** p * vol for v in vals) ** (1.0 / p) / base)
+    return sup

@@ -9,7 +9,6 @@ from setlp.bodies import (
     conv_union,
     fold_minkowski,
     gauge,
-    hausdorff,
     magnitude,
     minkowski_sum,
     origin_body,
@@ -125,20 +124,11 @@ def test_gauge_unbounded_direction():
 def test_generator_cap_keeps_inner_approximation():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((600, 2))
-    big = ConvexBody(2, pts, cap=256)
+    big = ConvexBody(2, pts)
     exact = np.abs(pts @ DIRS2.T).max(axis=0)
     got = support_batch(big, DIRS2)
     assert np.all(got <= exact + 1e-12)
     assert np.abs(got - exact).max() < 1e-9  # cap keeps every extreme direction here
-
-
-def test_hausdorff_matches_support_gap():
-    rng = np.random.default_rng(11)
-    A, B = rand_body(rng, 2, 5), rand_body(rng, 2, 5)
-    d = hausdorff(A, B)
-    gap = np.abs(support_batch(A, DIRS2) - support_batch(B, DIRS2)).max()
-    assert d >= gap - 1e-12
-    assert hausdorff(A, A) == 0.0
 
 
 def test_body_serialization_shape():

@@ -10,7 +10,6 @@ from setlp.fields import (
     SetField,
     aumann_integral,
     distribution,
-    dp_distance,
     lp_norm,
     magnitude_bound_check,
     random_simple_field,
@@ -95,18 +94,6 @@ def test_distribution_tail_measures():
     assert table.tail_measure(2.5) == Fraction(1, 2)
     assert table.tail_measure(4.5) == 0
     assert weak_norm(F, 1.0) == pytest.approx(max(1.0, 2 * 0.75, 3 * 0.5, 4 * 0.25))
-
-
-def test_dp_distance_metric_properties():
-    rng = np.random.default_rng(18)
-    domain = DyadicDomain(1, 3)
-    A = random_simple_field(rng, domain, 2)
-    B = random_simple_field(rng, domain, 2)
-    C = random_simple_field(rng, domain, 2)
-    for p in (1.0, 2.0):
-        ab, bc, ac = (dp_distance(x, y, p) for x, y in ((A, B), (B, C), (A, C)))
-        assert ac <= ab + bc + 1e-10
-        assert dp_distance(A, A, p) == 0.0
 
 
 def test_random_field_deterministic():

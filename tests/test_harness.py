@@ -166,6 +166,14 @@ def test_riesz_thorin_small_run():
             assert max(r["sup_ratios"]) <= 1.0 + 1e-9
 
 
+def test_riesz_thorin_keeps_one_record_per_fixture_position():
+    cfg = ExperimentConfig(seed=3, level=3, trials=4, directions=60,
+                           fixtures=("rotated", "euclidean", "rotated"))
+    records = run_riesz_thorin(cfg).records
+    assert [r["fixture"] for r in records] == ["rotated", "euclidean", "rotated"]
+    assert records[0] == records[2]
+
+
 def test_bodies_selftest_runs():
     rep = run_bodies_selftest(ExperimentConfig(seed=3, level=3))
     assert rep.passed

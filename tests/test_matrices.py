@@ -10,7 +10,6 @@ from setlp.matrices import (
     operator_norm,
     operator_norms,
     random_spd_matrix,
-    spd_power,
 )
 
 
@@ -34,8 +33,8 @@ def test_powers_against_eigen_oracle():
     w, Q = np.linalg.eigh(A.arr)
     for t in (0.5, -1.0, 0.25, 2.0):
         want = (Q * w ** t) @ Q.T
-        assert np.abs(spd_power(A, t).arr - want).max() < 1e-12
-    root = spd_power(A, 0.5)
+        assert np.abs(A.power(t).arr - want).max() < 1e-12
+    root = A.power(0.5)
     assert np.abs(root.arr @ root.arr - A.arr).max() < 1e-12
 
 
@@ -108,6 +107,6 @@ def test_gm_norm_pair_structure():
     mean = geometric_mean(SpdMatrix(W0.arr @ W0.arr), SpdMatrix(W1.arr @ W1.arr), 0.5)
     assert np.abs(pair.mean_matrix.arr - mean.arr).max() < 1e-12
     V = rng.standard_normal((100, 2))
-    root = spd_power(mean, 0.5).arr
+    root = mean.power(0.5).arr
     assert np.abs(pair.comparison.values(V) - np.linalg.norm(V @ root.T, axis=1)).max() < 1e-10
     assert np.all(pair.double_dual.values(V) <= pair.double_dual.mean_values(V) * (1 + 1e-9))

@@ -15,7 +15,6 @@ from setlp.operators import (
     cube_integral_tree,
     dyadic_frac_maximal,
     frac_average,
-    full_maximal_envelope,
     scalar_frac_maximal,
     sublinearity_check,
 )
@@ -250,18 +249,6 @@ def test_translated_average_uses_clipped_volume():
     assert cube.clip_volume() < Fraction(1, 2)
     avg = frac_average(F, cube, 0.0)
     assert magnitude(avg) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_envelope_dominates_every_grid():
-    rng = np.random.default_rng(27)
-    domain = DyadicDomain(1, 3)
-    F = random_simple_field(rng, domain, 2)
-    env = full_maximal_envelope(F, 0.25)
-    for tau in ((Fraction(0),), (THIRD,), (-THIRD,)):
-        MF = dyadic_frac_maximal(F, 0.25, tau)
-        for e, m in zip(env.cells, MF.cells):
-            gap = support_batch(e, DIRS2) - support_batch(m, DIRS2)
-            assert gap.min() > -1e-10
 
 
 def test_cells_touching_one_third_see_only_origin():
