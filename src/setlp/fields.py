@@ -122,11 +122,15 @@ class NormField:
                        *, directions=None) -> "NormField":
         if mf0.domain != mf1.domain:
             raise ValueError("matrix field domains differ")
-        norms = [
-            GeometricMeanDoubleDual(MatrixNorm(a.arr), MatrixNorm(b.arr), t,
-                                    directions=directions)
-            for a, b in zip(mf0.cells, mf1.cells)
-        ]
+        # one double dual per distinct cell pair, shared by equal cells
+        built = {}
+        norms = []
+        for a, b in zip(mf0.cells, mf1.cells):
+            key = (a.arr.tobytes(), b.arr.tobytes())
+            if key not in built:
+                built[key] = GeometricMeanDoubleDual(MatrixNorm(a.arr), MatrixNorm(b.arr), t,
+                                                     directions=directions)
+            norms.append(built[key])
         return cls(mf0.domain, norms, "gm_double_dual",
                    {"field0": mf0, "field1": mf1, "t": float(t)})
 

@@ -19,11 +19,17 @@ evaluated as max_i |<v, u_i>| / p_t*(u_i) over a fixed direction grid
 with refined denominators.  With fixed denominators this is a max of
 absolute linear functionals, hence a genuine norm, and the pointwise
 bound double_dual(v) <= p_t(v) is inherited from |<v,u>| <= p_t(v) p_t*(u).
-Direction grids are nested under doubling, so enlarging the grid can only
-increase the evaluator toward the true double dual.
+Direction grids nest: the circle grid of m directions is a stride of any
+grid whose count is m times a power of two, and the sphere grid of m
+directions is a prefix of every larger one.  ``on_subgrid`` reads a
+coarser grid's double dual off a finer solve, sharing its denominators,
+so the coarse evaluator is a max over a subset of the fine one's
+functionals and monotonicity under refinement holds exactly.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -386,6 +392,30 @@ class GeometricMeanDoubleDual(Seminorm):
     def values(self, V):
         V = np.atleast_2d(np.asarray(V, dtype=float))
         return (np.abs(V @ self._grid.T) / self._inner).max(axis=1)
+
+    def on_subgrid(self, directions: int) -> "GeometricMeanDoubleDual":
+        """This double dual on the nested grid of ``directions`` directions.
+
+        The coarse grid is a stride of this one for d = 2 and a prefix for
+        d = 3, and it keeps this solve's denominators, so its values never
+        exceed this evaluator's.  Raises ValueError unless
+        direction_grid(dim, directions) equals that slice bit for bit.
+        """
+        if directions < 1:
+            raise ValueError(f"direction count must be positive, got {directions}")
+        if self.dim == 2 and self.directions % directions == 0:
+            rows = slice(None, None, self.directions // directions)
+        else:
+            rows = slice(None, directions)
+        grid = direction_grid(self.dim, directions)
+        if not np.array_equal(grid, self._grid[rows]):
+            raise ValueError(f"the {directions}-direction grid is not nested in "
+                             f"the {self.directions}-direction grid")
+        sub = copy.copy(self)
+        sub.directions = directions
+        sub._grid = grid
+        sub._inner = self._inner[rows]
+        return sub
 
     def mean_values(self, V) -> np.ndarray:
         """The raw geometric mean p_t on a stack of vectors."""

@@ -7,7 +7,6 @@ not that a knob needs loosening.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -18,7 +17,6 @@ import numpy as np
 
 from setlp.bodies import magnitude, minkowski_sum, support_batch
 from setlp.fields import (
-    NormField,
     aumann_integral,
     distribution,
     lp_norm,

@@ -17,7 +17,7 @@ from setlp.fields import (
 )
 from setlp.grids import DyadicDomain
 from setlp.matrices import MatrixField, random_spd_matrix
-from setlp.seminorms import direction_grid
+from setlp.seminorms import GeometricMeanDoubleDual, MatrixNorm, direction_grid
 
 
 def interval_field(domain, radii):
@@ -127,3 +127,19 @@ def test_weighted_lp_norm_uses_cell_norms():
     vals = [np.linalg.norm(mf.cells[i].arr @ F.cells[i].generators[0]) for i in range(2)]
     want = math.sqrt(0.5 * vals[0] ** 2 + 0.5 * vals[1] ** 2)
     assert lp_norm(F, 2.0, rho) == pytest.approx(want, rel=1e-12)
+
+
+def test_gm_double_dual_field_shares_one_norm_per_distinct_cell_pair():
+    domain = DyadicDomain(1, 3)
+    rng = np.random.default_rng(12)
+    a, b, c = (random_spd_matrix(rng, 2) for _ in range(3))
+    mf0 = MatrixField(domain, [a, a, b, b, a, a, b, b])
+    mf1 = MatrixField(domain, [c, c, c, c, a, a, a, a])
+    rho = NormField.gm_double_dual(mf0, mf1, 0.5, directions=120)
+    assert len({id(nm) for nm in rho.norms}) == 4
+    for i in range(0, 8, 2):
+        assert rho.norms[i] is rho.norms[i + 1]
+    V = rng.standard_normal((30, 2))
+    for x, y, nm in zip(mf0.cells, mf1.cells, rho.norms):
+        alone = GeometricMeanDoubleDual(MatrixNorm(x.arr), MatrixNorm(y.arr), 0.5, directions=120)
+        assert np.array_equal(nm.values(V), alone.values(V))

@@ -18,6 +18,7 @@ from setlp.harness import (
     SUITES,
     ExperimentConfig,
     ExperimentReport,
+    _comparability_block,
     _endpoint_trial,
     _failure_fixture,
     _jsonable,
@@ -172,6 +173,22 @@ def test_riesz_thorin_keeps_one_record_per_fixture_position():
     records = run_riesz_thorin(cfg).records
     assert [r["fixture"] for r in records] == ["rotated", "euclidean", "rotated"]
     assert records[0] == records[2]
+
+
+@pytest.mark.parametrize("seed", [24, 10001])
+def test_comparability_orders_every_pair(seed):
+    # one d = 3 pair per seed once broke the ordering on a coarse grid
+    # only (360 at seed 24, 720 at seed 10001), when each grid was solved
+    # apart from the finest one
+    records, _ = _comparability_block(ExperimentConfig(seed=seed))
+    assert len(records) == 20
+    assert all(r["ordering_ok"] for r in records)
+
+
+def test_comparability_widths_never_grow_under_refinement():
+    records, _ = _comparability_block(ExperimentConfig(seed=7))
+    for r in records:
+        assert r["widths"][0] >= r["widths"][1] >= r["widths"][2], r["pair"]
 
 
 def test_bodies_selftest_runs():

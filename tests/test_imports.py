@@ -1,12 +1,14 @@
-"""Every name a library module imports at module level is used there."""
+"""Every name a library or test module imports at module level is used there."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "setlp"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "setlp"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def _imported_names(tree: ast.Module) -> set:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from setlp.bodies import ConvexBody
+from setlp.matrices import random_spd_matrix
 from setlp.seminorms import (
     DegenerateSeminormError,
     DualNorm,
@@ -112,3 +113,36 @@ def test_double_dual_equals_mean_for_equal_weights():
     ratio = dd.values(V) / dd.mean_values(V)
     assert np.all(ratio <= 1.0 + 1e-12)
     assert ratio.min() > 1.0 - 1e-4
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["d2", "d3"])
+def fine_double_dual(request):
+    dim = request.param
+    rng = np.random.default_rng(30 + dim)
+    A, B = (random_spd_matrix(rng, dim, spread=0.8).arr for _ in range(2))
+    return GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(B), 0.4, directions=1440)
+
+
+@pytest.mark.parametrize("m", [720, 360])
+def test_subgrid_is_the_nested_grid_and_never_exceeds_the_fine_values(fine_double_dual, m):
+    dd = fine_double_dual
+    sub = dd.on_subgrid(m)
+    assert sub.directions == m
+    assert np.array_equal(sub._grid, direction_grid(dd.dim, m))
+    probe = np.random.default_rng(m).standard_normal((500, dd.dim))
+    # a max over a subset of the same functionals: no slack
+    assert np.all(sub.values(probe) <= dd.values(probe))
+
+
+def test_subgrid_at_the_fine_count_gives_the_fine_values(fine_double_dual):
+    dd = fine_double_dual
+    probe = np.random.default_rng(5).standard_normal((500, dd.dim))
+    assert np.array_equal(dd.on_subgrid(1440).values(probe), dd.values(probe))
+
+
+def test_subgrid_rejects_a_grid_that_is_not_nested(fine_double_dual):
+    dd = fine_double_dual
+    # 500 does not divide 1440 (on the sphere it is a valid prefix)
+    for m in ((500, 2880) if dd.dim == 2 else (2880,)):
+        with pytest.raises(ValueError):
+            dd.on_subgrid(m)
