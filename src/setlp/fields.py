@@ -22,9 +22,16 @@ from .seminorms import EuclideanNorm, GeometricMeanDoubleDual, MatrixNorm, Semin
 
 
 class SetField:
-    """One symmetric convex body per grid cell."""
+    """One symmetric convex body per grid cell.
 
-    __slots__ = ("domain", "cells")
+    A field built from a (cells x m x d) generator array keeps the array
+    and constructs its pruned ConvexBody cells on first access of `cells`;
+    the array-native paths read `generators` and never build a body.  A
+    field built from bodies derives a zero-padded array on first access of
+    `generators`.
+    """
+
+    __slots__ = ("domain", "_cells", "_gens")
 
     def __init__(self, domain: DyadicDomain, cells):
         cells = tuple(cells)
@@ -34,14 +41,50 @@ class SetField:
         if len(dims) != 1:
             raise ValueError("all cells of a field must share one ambient dimension")
         self.domain = domain
-        self.cells = cells
+        self._cells = cells
+        self._gens = None
+
+    @classmethod
+    def from_generators(cls, domain: DyadicDomain, generators) -> "SetField":
+        """Field whose cell i is conv{+-generators[i, j]}, bodies built lazily."""
+        G = np.array(generators, dtype=float)
+        if (G.ndim != 3 or G.shape[0] != domain.num_cells or G.shape[1] < 1
+                or G.shape[2] not in (1, 2, 3)):
+            raise ValueError(f"expected a ({domain.num_cells}, m, d) generator array "
+                             f"with m >= 1 and d in (1, 2, 3), got shape {G.shape}")
+        if not np.all(np.isfinite(G)):
+            raise ValueError("generators must be finite")
+        G.setflags(write=False)
+        field = cls.__new__(cls)
+        field.domain = domain
+        field._cells = None
+        field._gens = G
+        return field
+
+    @property
+    def cells(self) -> tuple:
+        if self._cells is None:
+            self._cells = tuple(ConvexBody(self.dim, g) for g in self._gens)
+        return self._cells
+
+    @property
+    def generators(self) -> np.ndarray:
+        """Read-only (cells x m x d) generator array."""
+        if self._gens is None:
+            cells = self._cells
+            G = np.zeros((len(cells), max(1, *(c.num_generators for c in cells)), self.dim))
+            for row, c in zip(G, cells):
+                row[:c.num_generators] = c.generators
+            G.setflags(write=False)
+            self._gens = G
+        return self._gens
 
     @property
     def dim(self) -> int:
-        return self.cells[0].dim
+        return self._gens.shape[2] if self._gens is not None else self._cells[0].dim
 
     def __len__(self):
-        return len(self.cells)
+        return self.domain.num_cells
 
     def to_dict(self) -> dict:
         return {
@@ -55,6 +98,12 @@ class SetField:
         domain = DyadicDomain(int(data.get("n", 1)), int(data["grid_level"]))
         cells = [ConvexBody.from_dict(data["cells"][str(i)]) for i in range(domain.num_cells)]
         return cls(domain, cells)
+
+
+def cell_magnitudes(field: SetField) -> np.ndarray:
+    """Euclidean magnitude of every cell, read off the generator array:
+    the largest generator norm, which a vertex of conv{+-g_i} attains."""
+    return np.linalg.norm(field.generators, axis=2).max(axis=1)
 
 
 def add_fields(a: SetField, b: SetField) -> SetField:
@@ -132,7 +181,8 @@ class NormField:
                                                      directions=directions)
             norms.append(built[key])
         return cls(mf0.domain, norms, "gm_double_dual",
-                   {"field0": mf0, "field1": mf1, "t": float(t)})
+                   {"field0": mf0, "field1": mf1, "t": float(t),
+                    "directions": norms[0].directions})
 
     @property
     def dim(self) -> int:
@@ -148,6 +198,7 @@ class NormField:
             body["field0"] = self.payload["field0"].to_dict()
             body["field1"] = self.payload["field1"].to_dict()
             body["t"] = self.payload["t"]
+            body["directions"] = self.payload["directions"]
         else:
             raise ValueError(f"cannot serialize norm field kind {self.kind!r}")
         return body
@@ -165,37 +216,43 @@ class NormField:
                 MatrixField.from_dict(data["field0"]),
                 MatrixField.from_dict(data["field1"]),
                 float(data["t"]),
+                directions=data.get("directions"),
             )
         raise ValueError(f"unknown norm field kind {kind!r}")
 
 
-def _cell_values(field: SetField, rho) -> list[float]:
+def _cell_values(field: SetField, rho) -> np.ndarray:
     """Scalar size of every cell body under rho.
 
     rho may be None (Euclidean), one Seminorm for all cells, or a
     NormField aligned with the set field's grid.
     """
     if rho is None:
-        return [magnitude(c) for c in field.cells]
+        return cell_magnitudes(field)
     if isinstance(rho, NormField):
         if rho.domain != field.domain:
             raise ValueError("norm field grid does not match the set field")
-        return [r.of_body(c) for r, c in zip(rho.norms, field.cells)]
+        return np.array([r.of_body(c) for r, c in zip(rho.norms, field.cells)])
     if isinstance(rho, Seminorm):
-        return [rho.of_body(c) for c in field.cells]
+        return np.array([rho.of_body(c) for c in field.cells])
     raise TypeError(f"expected a Seminorm or NormField, got {type(rho).__name__}")
 
 
-def lp_norm(field: SetField, p: float, rho=None) -> float:
-    """L^p norm of the scalar field x -> rho_x(F(x)); p = inf gives the sup."""
-    values = _cell_values(field, rho)
+def values_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
+    """L^p norm of the simple function taking values[i] on cells of one
+    volume; p = inf gives the sup."""
+    values = np.asarray(values, dtype=float).tolist()
     if p == math.inf:
         return max(values)
     p = float(p)
     if not p > 0.0:
         raise ValueError(f"p must be positive or inf, got {p}")
-    vol = field.domain.cell_volume
-    return math.fsum(v ** p * vol for v in values) ** (1.0 / p)
+    return math.fsum(v ** p * cell_volume for v in values) ** (1.0 / p)
+
+
+def lp_norm(field: SetField, p: float, rho=None) -> float:
+    """L^p norm of the scalar field x -> rho_x(F(x)); p = inf gives the sup."""
+    return values_lp_norm(_cell_values(field, rho), p, field.domain.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -243,20 +300,23 @@ class DistributionTable:
         return math.fsum(terms)
 
 
+def values_distribution(values: np.ndarray, cell_volume: Fraction) -> DistributionTable:
+    """Distribution table of the simple function taking values[i] on cells
+    of one exact volume.  One sort: the cells >= lam are those after the
+    first sorted value >= lam."""
+    ordered = np.sort(values)
+    distinct = np.unique(ordered[ordered > 0.0])
+    counts = len(ordered) - np.searchsorted(ordered, distinct, side="left")
+    return DistributionTable(
+        thresholds=tuple(distinct.tolist()),
+        tails=tuple(int(c) * cell_volume for c in counts),
+        total_measure=len(ordered) * cell_volume,
+    )
+
+
 def distribution(field: SetField, rho=None) -> DistributionTable:
     """Distribution table of the scalar field x -> rho_x(F(x))."""
-    values = _cell_values(field, rho)
-    vol = field.domain.cell_volume_exact
-    distinct = sorted({v for v in values if v > 0.0})
-    tails = []
-    for lam in distinct:
-        count = sum(1 for v in values if v >= lam)
-        tails.append(count * vol)
-    return DistributionTable(
-        thresholds=tuple(distinct),
-        tails=tuple(tails),
-        total_measure=len(values) * vol,
-    )
+    return values_distribution(_cell_values(field, rho), field.domain.cell_volume_exact)
 
 
 def weak_norm(field: SetField, p: float, rho=None) -> float:
@@ -277,4 +337,4 @@ def random_simple_field(rng: np.random.Generator, domain: DyadicDomain, dim: int
         if (factors < 0.0).any():
             raise ValueError("magnitude scales must be nonnegative")
         raw = raw * factors
-    return SetField(domain, [ConvexBody(dim, g) for g in raw])
+    return SetField.from_generators(domain, raw)

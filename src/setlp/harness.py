@@ -1,6 +1,16 @@
 """Experiment suites: randomized trials that measure operator norms on
 discretized set fields and compare them against the predicted constants.
 
+The marcinkiewicz and endpoints trials need only magnitudes: |F| per cell,
+|int_Q F| per aligned cube, and |M_alpha F| by the identity
+|M_alpha F|(x) = max over cubes Q containing x of vol(Q)^(alpha-1) |int_Q F|.
+They read all three off the trial field's generator array
+(fields.cell_magnitudes, operators.cube_magnitudes and maximal_magnitudes)
+and never build a ConvexBody, so no Qhull call or generator cap is on their
+path.  The set-valued API (cube_integral_tree, dyadic_frac_maximal) stays
+the reference the tests hold these against, and the riesz-thorin and
+reverse-factorization suites use it.
+
 Each suite returns an ExperimentReport whose per-trial records are enough to
 recompute every aggregate.  Reports serialize to canonical JSON (sorted keys,
 repr floats, no timing data) so identical configurations produce identical
@@ -20,14 +30,22 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._version import __version__
-from .bodies import ConvexBody, magnitude, minkowski_sum, support_batch
-from .fields import NormField, SetField, lp_norm, random_simple_field, weak_norm
+from .bodies import ConvexBody, minkowski_sum, support_batch
+from .fields import (
+    NormField,
+    SetField,
+    cell_magnitudes,
+    random_simple_field,
+    values_distribution,
+    values_lp_norm,
+)
 from .grids import DyadicDomain, grid_translations, verify_nesting, verify_tiling
 from .matrices import MatrixField, gm_double_dual_norm, random_spd_matrix
 from .operators import (
     ExponentConfig,
     cube_integral_tree,
-    dyadic_frac_maximal,
+    cube_magnitudes,
+    maximal_magnitudes,
     scalar_frac_maximal,
     sublinearity_check,
 )
@@ -290,18 +308,19 @@ def _marcinkiewicz_trial(config: ExperimentConfig, i: int) -> dict:
     alpha = config.alpha
     cfgs = _marcinkiewicz_exponents(config)
     n, dim, kind, fld = _trial(config, i)
+    vol = fld.domain.cell_volume
+    radii = cell_magnitudes(fld)
     # one maximal field serves every t: only the exponents change
-    mf = dyadic_frac_maximal(fld, alpha)
+    mvals = maximal_magnitudes(cube_magnitudes(fld), n, alpha)
     ratios = {}
     oracle_gap = 0.0
     for t, cfg in cfgs.items():
-        ratios[repr(t)] = _ratio(lp_norm(mf, cfg.q), lp_norm(fld, cfg.p))
+        ratios[repr(t)] = _ratio(values_lp_norm(mvals, cfg.q, vol),
+                                 values_lp_norm(radii, cfg.p, vol))
     if dim == 1:
         # interval fields reduce to their radius functions exactly
-        radii = np.array([magnitude(c) for c in fld.cells])
         smax = scalar_frac_maximal(radii, fld.domain, alpha)
-        oracle_gap = float(max(abs(magnitude(c) - s)
-                               for c, s in zip(mf.cells, smax)))
+        oracle_gap = float(np.abs(mvals - smax).max())
     slack = min(c.interpolation_constant - ratios[repr(t)] for t, c in cfgs.items())
     return {
         "trial": i, "n": n, "d": dim, "kind": kind,
@@ -342,26 +361,27 @@ def _endpoint_trial(config: ExperimentConfig, i: int) -> dict:
     n, dim, kind, fld = _trial(config, i)
     alpha = _ENDPOINT_ALPHAS[i % len(_ENDPOINT_ALPHAS)]
     cfg = ExponentConfig.for_fractional_maximal(alpha, 0.5)
-    norm_1 = lp_norm(fld, 1.0)
-    norm_hi = lp_norm(fld, 1.0 / alpha)
+    vol = fld.domain.cell_volume
+    radii = cell_magnitudes(fld)
+    norm_1 = values_lp_norm(radii, 1.0, vol)
+    norm_hi = values_lp_norm(radii, 1.0 / alpha, vol)
 
-    # every aligned cube at once via the integral tree
-    tree = cube_integral_tree(fld)
+    # every aligned cube at once, level by level
+    cube_mags = cube_magnitudes(fld)
     avg_weak = avg_strong = 0.0
-    for j, vols in enumerate(tree.volumes):
-        for coords, vol in vols.items():
-            if vol == 0.0:
-                continue
-            mag = magnitude(tree.integrals[j][coords]) * vol ** (alpha - 1.0)
-            # A_Q F is constant on Q: its L^{1/(1-alpha)} norm is
-            # mag * vol^{1-alpha} and its sup norm is mag
-            avg_weak = max(avg_weak, _ratio(mag * vol ** (1.0 - alpha), norm_1))
-            avg_strong = max(avg_strong, _ratio(mag, norm_hi))
+    for j, mags in enumerate(cube_mags):
+        cube_vol = 2.0 ** (-j * n)
+        mag = float(mags.max()) * cube_vol ** (alpha - 1.0)
+        # A_Q F is constant on Q: its L^{1/(1-alpha)} norm is
+        # mag * vol^{1-alpha} and its sup norm is mag
+        avg_weak = max(avg_weak, _ratio(mag * cube_vol ** (1.0 - alpha), norm_1))
+        avg_strong = max(avg_strong, _ratio(mag, norm_hi))
 
-    mf = dyadic_frac_maximal(fld, alpha, tree=tree)
-    max_weak = _ratio(weak_norm(mf, cfg.q1), norm_1)
-    max_strong = _ratio(lp_norm(mf, math.inf), norm_hi)
-    mid = _ratio(lp_norm(mf, cfg.q), lp_norm(fld, cfg.p))
+    mvals = maximal_magnitudes(cube_mags, n, alpha)
+    max_weak = _ratio(values_distribution(mvals, fld.domain.cell_volume_exact)
+                      .weak_norm(cfg.q1), norm_1)
+    max_strong = _ratio(values_lp_norm(mvals, math.inf, vol), norm_hi)
+    mid = _ratio(values_lp_norm(mvals, cfg.q, vol), values_lp_norm(radii, cfg.p, vol))
     slack = min(1.0 - avg_weak, 1.0 - avg_strong, 1.0 - max_weak,
                 1.0 - max_strong, cfg.interpolation_constant - mid)
     return {

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import ConvexBody, conv_union, fold_minkowski, origin_body, scale, support_batch
-from .fields import SetField, add_fields
+from .fields import SetField, add_fields, cell_magnitudes
 from .grids import (
     DyadicCube,
     DyadicDomain,
@@ -263,12 +263,12 @@ def cube_integral_tree(field: SetField, tau=None) -> CubeTree:
     return CubeTree(levels, integrals, parents, volumes)
 
 
-def _maximal_for_grid(field: SetField, alpha: float, tau, tree=None) -> SetField:
+def _maximal_for_grid(field: SetField, alpha: float, tau) -> SetField:
     """Maximal field over the admissible cubes of one translated grid."""
     domain = field.domain
     k, n, dim = domain.level, domain.n, field.dim
     aligned = all(t == 0 for t in tau)
-    tree = tree if tree is not None else cube_integral_tree(field, tau)
+    tree = cube_integral_tree(field, tau)
 
     # union of fractional averages along each ancestor chain, root down
     accum: list[dict] = [dict() for _ in range(k + 1)]
@@ -299,17 +299,129 @@ def _maximal_for_grid(field: SetField, alpha: float, tau, tree=None) -> SetField
     return SetField(domain, out)
 
 
-def dyadic_frac_maximal(field: SetField, alpha: float, tau=None, *,
-                        tree=None) -> SetField:
-    """Fractional maximal field over one dyadic grid (default untranslated).
-
-    tree, if given, must be the CubeTree from cube_integral_tree for the
-    same field and grid; callers that already hold the tree skip its
-    reconstruction.
-    """
+def dyadic_frac_maximal(field: SetField, alpha: float, tau=None) -> SetField:
+    """Fractional maximal field over one dyadic grid (default untranslated)."""
     alpha = _check_alpha(alpha)
     tau = _normalize_tau(field.domain.n, tau)
-    return _maximal_for_grid(field, alpha, tau, tree)
+    return _maximal_for_grid(field, alpha, tau)
+
+
+# -- array-native magnitudes on the untranslated grid ------------------------
+#
+# The field suites only need |int_Q F| over aligned cubes and the magnitude
+# identity |M_alpha F|(x) = max over cubes Q containing x of
+# vol(Q)^(alpha-1) |int_Q F|.  These functions compute both from the
+# generator array with no ConvexBody, Qhull call or generator cap, and stay
+# apart from the body path above, which remains the reference.
+
+
+def _ancestor_ids(n: int, fine: int, j: int) -> np.ndarray:
+    """Row-major index, among the 2^(jn) cubes of level j, of the ancestor
+    of every level-`fine` cube taken in row-major order."""
+    coords = np.indices((1 << fine,) * n).reshape(n, -1) >> (fine - j)
+    return np.ravel_multi_index(tuple(coords), (1 << j,) * n)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def planar_hulls(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of conv{+-g_i} for every cell of a (cells x m x 2) array.
+
+    Returns (V, count): V[c, :count[c]] are cell c's hull vertices in
+    counterclockwise angle order, the remaining rows are padding.  The
+    points +-g_i are sorted by angle about the origin, keeping the longest
+    of each equal-angle run and no zero point; then every vertex without a
+    strict left turn between its neighbors lies in the triangle they span
+    with the origin and is dropped, round by round, until none is left.
+    A point of the cell's largest norm is a vertex and is never dropped.
+    """
+    P = np.concatenate([G, -G], axis=1) + 0.0  # no -0.0: its angle could be -pi
+    norms = np.linalg.norm(P, axis=2)
+    ang = np.arctan2(P[..., 1], P[..., 0])
+    order = np.lexsort((-norms, ang), axis=1)
+    P = np.take_along_axis(P, order[..., None], axis=1)
+    norms = np.take_along_axis(norms, order, axis=1)
+    ang = np.take_along_axis(ang, order, axis=1)
+    keep = norms > 0.0
+    keep[:, 1:] &= ang[:, 1:] != ang[:, :-1]
+    fixed = keep & (norms == norms.max(axis=1, keepdims=True))
+    pos = np.arange(P.shape[1])
+    while True:
+        # kept points first, still in angle order
+        idx = np.argsort(~keep, axis=1, kind="stable")
+        P = np.take_along_axis(P, idx[..., None], axis=1)
+        fixed = np.take_along_axis(fixed, idx, axis=1)
+        count = keep.sum(axis=1)
+        live = pos < count[:, None]
+        wrap = np.maximum(count, 1)[:, None]
+        prev = np.take_along_axis(P, ((pos - 1) % wrap)[..., None], axis=1)
+        nxt = np.take_along_axis(P, ((pos + 1) % wrap)[..., None], axis=1)
+        drop = live & ~fixed & (_cross(P - prev, nxt - P) <= 0.0)
+        if not drop.any():
+            return P, count
+        keep = live & ~drop
+
+
+def cube_magnitudes(field: SetField) -> list[np.ndarray]:
+    """|int_Q F| for every aligned cube Q, level by level.
+
+    Entry j is an array over the 2^(jn) cubes of level j in row-major
+    order (entry k is over the cells).  d = 1: block sums of the cell
+    radii, each level grouping the one below by coordinates shifted right
+    by one.  d = 2: one edge merge per level, every cube at once: each
+    cell's hull edges are sorted by angle once, a stable sort by cube
+    groups them per cube, and a per-cube cumulative sum from the summed
+    lowest vertices walks the boundary of the cube's Minkowski sum, whose
+    magnitude is its largest vertex norm.
+    """
+    domain = field.domain
+    k, n, dim = domain.level, domain.n, field.dim
+    vol = domain.cell_volume
+    radii = cell_magnitudes(field)
+    if dim == 1:
+        # children sum into parents level by level: a short sum per cube
+        sums = [radii * vol]
+        for j in range(k - 1, -1, -1):
+            sums.append(np.bincount(_ancestor_ids(n, j + 1, j), weights=sums[-1],
+                                    minlength=1 << (j * n)))
+        return sums[::-1]
+    if dim != 2:
+        raise ValueError(f"array-native cube magnitudes need d <= 2, got d = {dim}")
+    V, count = planar_hulls(field.generators)
+    cells, slots = V.shape[:2]
+    pos = np.arange(slots)
+    live = pos < count[:, None]
+    nxt = np.take_along_axis(V, ((pos + 1) % np.maximum(count, 1)[:, None])[..., None], axis=1)
+    edges = np.where(live[..., None], nxt - V, 0.0).reshape(-1, 2)
+    # lowest vertex: least y, then least x; a zero cell's is the origin
+    low = np.lexsort((V[..., 0], np.where(live, V[..., 1], np.inf)), axis=1)[:, 0]
+    start = np.where(live[:, :1], V[np.arange(cells), low], 0.0)
+    by_angle = np.argsort(np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * np.pi),
+                          kind="stable")
+    edge_cell = by_angle // slots
+    out = []
+    for j in range(k):
+        cube = _ancestor_ids(n, k, j)
+        cubes = 1 << (j * n)
+        perm = by_angle[np.argsort(cube[edge_cell], kind="stable")]
+        walk = np.cumsum(edges[perm].reshape(cubes, slots << ((k - j) * n), 2), axis=1)
+        walk += np.column_stack([np.bincount(cube, weights=start[:, a], minlength=cubes)
+                                 for a in range(2)])[:, None, :]
+        out.append(np.linalg.norm(walk, axis=2).max(axis=1) * vol)
+    return out + [radii * vol]
+
+
+def maximal_magnitudes(cube_mags: list, n: int, alpha: float) -> np.ndarray:
+    """|M_alpha F| per cell on the untranslated grid, from cube_magnitudes:
+    a running max down the levels of vol(Q)^(alpha-1) |int_Q F|."""
+    alpha = _check_alpha(alpha)
+    best = None
+    for j, mags in enumerate(cube_mags):
+        avg = mags * (2.0 ** (-j * n)) ** (alpha - 1.0)
+        best = avg if j == 0 else np.maximum(best[_ancestor_ids(n, j, j - 1)], avg)
+    return best
 
 
 def _halve(a: np.ndarray, axis: int) -> np.ndarray:

@@ -9,10 +9,12 @@ from setlp.fields import (
     NormField,
     SetField,
     aumann_integral,
+    cell_magnitudes,
     distribution,
     lp_norm,
     magnitude_bound_check,
     random_simple_field,
+    values_distribution,
     weak_norm,
 )
 from setlp.grids import DyadicDomain
@@ -143,3 +145,66 @@ def test_gm_double_dual_field_shares_one_norm_per_distinct_cell_pair():
     for x, y, nm in zip(mf0.cells, mf1.cells, rho.norms):
         alone = GeometricMeanDoubleDual(MatrixNorm(x.arr), MatrixNorm(y.arr), 0.5, directions=120)
         assert np.array_equal(nm.values(V), alone.values(V))
+
+
+def test_gm_double_dual_field_roundtrips_its_direction_count():
+    domain = DyadicDomain(1, 1)
+    rng = np.random.default_rng(13)
+    mf0 = MatrixField(domain, [random_spd_matrix(rng, 2) for _ in range(2)])
+    mf1 = MatrixField(domain, [random_spd_matrix(rng, 2) for _ in range(2)])
+    rho = NormField.gm_double_dual(mf0, mf1, 0.5, directions=240)
+    back = NormField.from_dict(rho.to_dict())
+    V = rng.standard_normal((20, 2))
+    for a, b in zip(rho.norms, back.norms, strict=True):
+        assert b.directions == 240
+        assert np.array_equal(a.values(V), b.values(V))
+
+
+def test_distribution_counts_match_brute_force():
+    rng = np.random.default_rng(18)
+    domain = DyadicDomain(1, 6)
+    # ties, zeros and a negative-zero among the values
+    values = rng.choice([0.0, -0.0, 0.5, 1.0, 1.0, 2.5, 3.0], domain.num_cells)
+    values[:8] = rng.uniform(0.0, 3.0, 8)
+    table = values_distribution(values, domain.cell_volume_exact)
+    distinct = sorted({v for v in values.tolist() if v > 0.0})
+    assert table.thresholds == tuple(distinct)
+    assert table.tails == tuple(sum(1 for v in values if v >= lam) * domain.cell_volume_exact
+                                for lam in distinct)
+    assert all(isinstance(t, Fraction) for t in table.tails)
+    assert table.total_measure == 1
+    assert values_distribution(np.zeros(4), Fraction(1, 4)).thresholds == ()
+
+
+def _eager_twin(F):
+    return SetField(F.domain, [ConvexBody(F.dim, g) for g in F.generators])
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+def test_lazy_field_equals_eager_field(n, d):
+    rng = np.random.default_rng([19, n, d])
+    domain = DyadicDomain(n, 3)
+    F = random_simple_field(rng, domain, d, magnitude_scale=rng.uniform(0.0, 2.0, domain.num_cells))
+    G = _eager_twin(F)
+    assert F.dim == G.dim == d and len(F) == len(G) == domain.num_cells
+    assert F.to_dict() == G.to_dict()
+    for a, b in zip(F.cells, G.cells, strict=True):
+        assert np.array_equal(a.generators, b.generators)
+    assert F.cells is F.cells  # built once, then kept
+    # bitwise the body magnitudes, on both the array and the padded body path
+    want = [magnitude(c) for c in G.cells]
+    assert cell_magnitudes(F).tolist() == want
+    assert cell_magnitudes(G).tolist() == want
+    assert lp_norm(F, 3.0) == lp_norm(G, 3.0)
+
+
+def test_generator_array_validation():
+    domain = DyadicDomain(1, 2)
+    with pytest.raises(ValueError, match="generator array"):
+        SetField.from_generators(domain, np.ones((3, 2, 2)))
+    with pytest.raises(ValueError, match="generator array"):
+        SetField.from_generators(domain, np.ones((4, 0, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        SetField.from_generators(domain, np.full((4, 1, 2), np.nan))
+    with pytest.raises(ValueError):
+        SetField.from_generators(domain, np.ones((4, 2, 2))).generators[0, 0, 0] = 2.0

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from setlp.bodies import magnitude
+from setlp.bodies import ConvexBody, magnitude
 from setlp.cli import ConfigError, load_config, main
 from setlp.fields import SetField, random_simple_field
 from setlp.grids import DyadicDomain
@@ -317,3 +317,24 @@ def test_cli_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-suite"])
     assert exc.value.code == 2
+
+
+def test_field_trials_build_no_bodies(monkeypatch):
+    # the field suites' trials run on generator arrays end to end
+    built = []
+    init = ConvexBody.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConvexBody, "__init__", counting_init)
+    cfg = ExperimentConfig(seed=7, level=4, trials=8)
+    records = [worker(cfg, i) for worker in (_marcinkiewicz_trial, _endpoint_trial)
+               for i in range(8)]
+    assert {(r["n"], r["d"]) for r in records} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert all(r["ok"] for r in records)
+    assert not built
+    # the counter does see body construction
+    assert len(trial_field(np.random.default_rng(0), DyadicDomain(1, 2), 2, "smooth").cells) == 4
+    assert len(built) == 4

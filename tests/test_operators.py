@@ -13,8 +13,11 @@ from setlp.operators import (
     ExponentConfig,
     aligned_cells,
     cube_integral_tree,
+    cube_magnitudes,
     dyadic_frac_maximal,
     frac_average,
+    maximal_magnitudes,
+    planar_hulls,
     scalar_frac_maximal,
     sublinearity_check,
 )
@@ -299,3 +302,86 @@ def test_scalar_maximal_rejects_bad_input():
         scalar_frac_maximal(np.array([1.0, -0.5, 0.2, 0.3]), domain, 0.0)
     with pytest.raises(ValueError):
         scalar_frac_maximal(np.ones(3), domain, 0.0)
+
+
+# n = 2 stays at level 3: no cube integral there reaches the generator cap
+ARRAY_CASES = [(1, 1, 5), (1, 2, 5), (2, 1, 3), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("n,d,level", ARRAY_CASES, ids=lambda v: str(v))
+def test_cube_magnitudes_match_body_tree(n, d, level):
+    rng = np.random.default_rng([31, n, d])
+    domain = DyadicDomain(n, level)
+    for F in (random_simple_field(rng, domain, d),
+              random_simple_field(rng, domain, d, generators_per_cell=5,
+                                  magnitude_scale=rng.uniform(0.0, 2.0, domain.num_cells))):
+        tree = cube_integral_tree(F)
+        mags = cube_magnitudes(F)
+        assert len(mags) == level + 1
+        for j, level_mags in enumerate(mags):
+            assert level_mags.shape == (1 << (j * n),)
+            for coords, body in tree.integrals[j].items():
+                got = level_mags[np.ravel_multi_index(coords, (1 << j,) * n)]
+                assert got == pytest.approx(magnitude(body), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n,d,level", ARRAY_CASES, ids=lambda v: str(v))
+def test_maximal_magnitudes_match_body_maximal(n, d, level):
+    rng = np.random.default_rng([32, n, d])
+    domain = DyadicDomain(n, level)
+    F = random_simple_field(rng, domain, d,
+                            magnitude_scale=rng.uniform(0.0, 2.0, domain.num_cells))
+    mags = cube_magnitudes(F)
+    for alpha in (0.0, 0.25, 0.5):
+        got = maximal_magnitudes(mags, n, alpha)
+        want = [magnitude(c) for c in dyadic_frac_maximal(F, alpha).cells]
+        assert got.shape == (domain.num_cells,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_cube_magnitudes_of_body_built_fields():
+    # body-built fields are read through their zero-padded generator array,
+    # origin cells included
+    domain = DyadicDomain(1, 3)
+    cells = [origin_body(2), ConvexBody(2, [[1.0, 0.5]]),
+             ConvexBody(2, [[0.2, 0.1], [0.0, 1.0], [1.0, 1.0]])] + [origin_body(2)] * 5
+    F = SetField(domain, cells)
+    tree = cube_integral_tree(F)
+    for j, level_mags in enumerate(cube_magnitudes(F)):
+        want = [magnitude(tree.integrals[j][(m,)]) for m in range(1 << j)]
+        np.testing.assert_allclose(level_mags, want, rtol=1e-12, atol=0.0)
+    assert cube_magnitudes(SetField(domain, [origin_body(2)] * 8))[0].tolist() == [0.0]
+
+
+def test_cube_magnitudes_reject_three_dimensional_values():
+    F = random_simple_field(np.random.default_rng(33), DyadicDomain(1, 2), 3)
+    with pytest.raises(ValueError, match="d <= 2"):
+        cube_magnitudes(F)
+
+
+def _signed_rows(G):
+    """Sorted rows of +-G with the sign fixed by the first nonzero entry."""
+    G = np.asarray(G, dtype=float).reshape(-1, 2)
+    lead = G[np.arange(len(G)), np.argmax(G != 0.0, axis=1)]
+    return sorted(map(tuple, G * np.where(lead < 0.0, -1.0, 1.0)[:, None]))
+
+
+def test_planar_hulls_match_pruned_bodies():
+    rng = np.random.default_rng(34)
+    cells = [rng.standard_normal((4, 2)) for _ in range(40)]
+    cells += [
+        np.zeros((4, 2)),                                    # the body {0}
+        [[1.0, 2.0], [2.0, 4.0], [-3.0, -6.0], [0.0, 0.0]],  # collinear: a segment
+        [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [0.5, 0.5]],    # (1, 1) lies on an edge
+        [[0.3, -0.7], [0.3, -0.7], [-0.3, 0.7], [1.0, 0.2]],  # duplicates up to sign
+        [[2.0, 0.0], [0.0, 1.0], [-2.0, 0.0], [0.0, 0.0]],   # padded zero row
+    ]
+    G = np.array(cells)
+    V, count = planar_hulls(G)
+    for g, verts, c in zip(G, V, count):
+        kept = ConvexBody(2, g).generators
+        assert _signed_rows(verts[:c]) == _signed_rows(np.vstack([kept, -kept]))
+        if c:
+            # counterclockwise order about the origin
+            ang = np.arctan2(verts[:c, 1], verts[:c, 0])
+            assert np.all(np.diff(ang) > 0.0)
