@@ -15,10 +15,13 @@ brings the values to ~1e-12 relative accuracy so the double-dual ordering
 and cross-checks hold at the advertised tolerances.
 
 The double dual of the weighted geometric mean p_t = p0^(1-t) * p1^t is
-evaluated as max_i |<v, u_i>| / p_t*(u_i) over a fixed direction grid
-with refined denominators.  With fixed denominators this is a max of
-absolute linear functionals, hence a genuine norm, and the pointwise
-bound double_dual(v) <= p_t(v) is inherited from |<v,u>| <= p_t(v) p_t*(u).
+evaluated as max_i |<v, u_i>| / p_t*(u_i) over a fixed direction grid.
+For matrix factors the inner duals p_t*(u_i) are exact: the Lagrange
+conditions of the ratio reduce to one polynomial of degree 2d - 1 per
+direction, and every real root is tried (``_matrix_mean_duals``).  With
+fixed denominators the evaluator is a max of absolute linear
+functionals, hence a genuine norm, and the pointwise bound
+double_dual(v) <= p_t(v) is inherited from |<v,u>| <= p_t(v) p_t*(u).
 Direction grids nest: the circle grid of m directions is a stride of any
 grid whose count is m times a power of two, and the sphere grid of m
 directions is a prefix of every larger one.  ``on_subgrid`` reads a
@@ -166,7 +169,7 @@ def _compass_max_sphere(func, V, W0, h0, iters=240, h_min=1e-10):
     return best
 
 
-def dual_values(func, dim: int, V, *, directions: int | None = None, refine: bool = True, starts: int = 3) -> np.ndarray:
+def dual_values(func, dim: int, V, *, directions: int | None = None) -> np.ndarray:
     """sup{|<v, w>| : p(w) <= 1} for each row v of V, p given by ``func``.
 
     ``func`` evaluates the positively homogeneous p on direction stacks.
@@ -187,9 +190,7 @@ def dual_values(func, dim: int, V, *, directions: int | None = None, refine: boo
         raise DegenerateSeminormError("unit ball unbounded along a grid direction")
     R = np.abs(V @ U.T) / pu  # (N, M)
     best = R.max(axis=1)
-    if not refine:
-        return best
-    k = min(starts, count)
+    k = min(3, count)  # refine from the three best grid directions
     top = np.argpartition(R, count - k, axis=1)[:, count - k:]
     if dim == 2:
         theta = np.arange(count) * (np.pi / count)
@@ -202,6 +203,46 @@ def dual_values(func, dim: int, V, *, directions: int | None = None, refine: boo
     for j in range(k):
         best = np.maximum(best, _compass_max_sphere(func, V, U[top[:, j]], h0))
     return best
+
+
+def _matrix_mean_duals(A0, A1, t: float, U, mean) -> np.ndarray:
+    """Exact p_t*(u) = sup_w |<u, w>| / (|A0 w|^(1-t) |A1 w|^t) per row u of U.
+
+    With A1 A0^-1 = Q diag(sigma) Vt and w = A0^-1 Vt^T y the ratio is
+    |<a, y>| / (|y|^(1-t) |sigma y|^t), a = V^T A0^-T u.  Every critical
+    point on the sphere has y_i proportional to a_i / ((1-t) s + t sigma_i^2),
+    where s = |sigma y|^2 / |y|^2 is a root of the degree 2d - 1 polynomial
+    sum_i a_i^2 (s - sigma_i^2) prod_{j != i} ((1-t) s + t sigma_j^2)^2.
+    One batched eigenvalue solve of its companion matrices yields all of
+    them; each candidate is an attained ratio, evaluated through ``mean``,
+    so the max over candidates is the supremum.
+    """
+    try:
+        inv0 = np.linalg.inv(A0)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSeminormError("singular factor: unit ball unbounded") from exc
+    _, sigma, vt = np.linalg.svd(A1 @ inv0)
+    if not sigma[-1] > 1e-14 * sigma[0]:  # the grid search's relative floor
+        raise DegenerateSeminormError("singular factor: unit ball unbounded")
+    sq = (sigma / sigma[0]) ** 2  # s is scale-free: measure it in sigma_max^2
+    basis = inv0 @ vt.T
+    a = U @ basis
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    # the polynomial over (1-t)^(2d-2), in increasing powers; monic as |a| = 1
+    pl = np.polynomial.polynomial
+    poles = -t / (1.0 - t) * sq
+    rows = [pl.polymul([-sq[i], 1.0], pl.polyfromroots(np.repeat(np.delete(poles, i), 2)))
+            for i in range(len(sq))]
+    coef = (a * a) @ np.array(rows)
+    n = coef.shape[1] - 1
+    comp = np.zeros((len(a), n, n))
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    comp[:, :, -1] = -coef[:, :-1]
+    roots = np.clip(np.linalg.eigvals(comp).real, sq[-1], 1.0)
+    s = np.column_stack([roots, np.full(len(a), sq[-1]), np.ones(len(a))])  # and both ends
+    W = (a[:, None, :] / ((1.0 - t) * s[..., None] + t * sq)) @ basis.T
+    ratio = np.abs(np.einsum("nd,nkd->nk", U, W)) / mean(W.reshape(-1, len(sq))).reshape(s.shape)
+    return ratio.max(axis=1)
 
 
 # -- evaluator hierarchy --------------------------------------------------
@@ -369,9 +410,11 @@ class WeightedGeometricMean(HomogeneousFunctional):
 class GeometricMeanDoubleDual(Seminorm):
     """Double dual of the weighted geometric mean of two seminorms.
 
-    The inner dual values p_t*(u_i) on the direction grid are refined to
-    ~1e-12; with those fixed denominators the evaluator is a max of
-    absolute linear functionals, hence a norm, and is bounded above by
+    The inner dual values p_t*(u_i) on the direction grid are the exact
+    suprema, by the closed form in dimension 1 and by the critical-point
+    solve of ``_matrix_mean_duals`` above, which needs both factors to be
+    matrix-induced.  With those fixed denominators the evaluator is a max
+    of absolute linear functionals, hence a norm, and is bounded above by
     the raw geometric mean pointwise.
     """
 
@@ -383,9 +426,13 @@ class GeometricMeanDoubleDual(Seminorm):
         self.dim = p0.dim
         self.directions = directions if directions is not None else DEFAULT_DIRECTIONS[self.dim]
         self._grid = direction_grid(self.dim, self.directions)
-        self._inner = dual_values(
-            self.mean.values, self.dim, self._grid, directions=self.directions
-        )
+        if self.dim == 1:
+            self._inner = dual_values(self.mean.values, 1, self._grid)
+        elif getattr(p0, "matrix", None) is None or getattr(p1, "matrix", None) is None:
+            raise TypeError("a double dual in dimension >= 2 needs matrix-induced factors")
+        else:
+            self._inner = _matrix_mean_duals(p0.matrix, p1.matrix, self.t, self._grid,
+                                             self.mean.values)
         if not np.all(self._inner > 0.0):
             raise DegenerateSeminormError("geometric mean degenerate on a grid direction")
 

@@ -175,11 +175,12 @@ def test_riesz_thorin_keeps_one_record_per_fixture_position():
     assert records[0] == records[2]
 
 
-@pytest.mark.parametrize("seed", [24, 10001])
+@pytest.mark.parametrize("seed", [16, 24, 10001, 10006])
 def test_comparability_orders_every_pair(seed):
     # one d = 3 pair per seed once broke the ordering on a coarse grid
     # only (360 at seed 24, 720 at seed 10001), when each grid was solved
-    # apart from the finest one
+    # apart from the finest one; at seeds 16 and 10006 a local search for
+    # the inner duals stopped below the supremum and broke it at 1440
     records, _ = _comparability_block(ExperimentConfig(seed=seed))
     assert len(records) == 20
     assert all(r["ordering_ok"] for r in records)

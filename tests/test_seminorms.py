@@ -146,3 +146,84 @@ def test_subgrid_rejects_a_grid_that_is_not_nested(fine_double_dual):
     for m in ((500, 2880) if dd.dim == 2 else (2880,)):
         with pytest.raises(ValueError):
             dd.on_subgrid(m)
+
+
+def _comparability_pair(seed, pair_idx):
+    # the matrices and t that the reverse-factorization comparability
+    # block draws for one pair
+    from setlp.harness import ExperimentConfig, _trial_rng
+
+    config = ExperimentConfig(seed=seed)
+    rng = _trial_rng(seed, 9000 + pair_idx)
+    d = 2 if pair_idx < 10 else 3
+    w0, w1 = (random_spd_matrix(rng, d, spread=0.8).arr for _ in range(2))
+    return w0, w1, config.ts[len(config.ts) // 2]
+
+
+def _dense_directions(dim, count, rng):
+    if dim == 2:
+        th = np.linspace(0.0, np.pi, count, endpoint=False)
+        return np.column_stack([np.cos(th), np.sin(th)])
+    pts = rng.standard_normal((count, dim))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_inner_duals_bound_a_dense_search_and_the_grid(dim):
+    rng = np.random.default_rng(70 + dim)
+    dense = _dense_directions(dim, 100_000, rng)
+    for _ in range(8):
+        A, B = (random_spd_matrix(rng, dim, spread=1.5).arr for _ in range(2))
+        t = float(rng.uniform(0.05, 0.95))
+        dd = GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(B), t, directions=48)
+        brute = (np.abs(dd._grid @ dense.T) / dd.mean_values(dense)).max(axis=1)
+        assert np.all(brute <= dd._inner * (1.0 + 1e-14))
+        on_grid = (np.abs(dd._grid @ dd._grid.T) / dd.mean_values(dd._grid)).max(axis=1)
+        assert np.all(dd._inner >= on_grid)
+
+
+def test_exact_inner_duals_agree_with_a_converged_search():
+    # at seed 7 the refined grid search reaches the supremum on every pair
+    for pair_idx in range(20):
+        w0, w1, t = _comparability_pair(7, pair_idx)
+        dd = GeometricMeanDoubleDual(MatrixNorm(w0), MatrixNorm(w1), t, directions=1440)
+        search = dual_values(dd.mean.values, dd.dim, dd._grid, directions=1440)
+        assert np.abs(dd._inner / search - 1.0).max() < 1e-12, pair_idx
+
+
+def test_exact_inner_duals_pass_a_local_maximum_of_the_search():
+    # seed 16, pair 16: the search stops at a local maximum on some rows
+    w0, w1, t = _comparability_pair(16, 16)
+    dd = GeometricMeanDoubleDual(MatrixNorm(w0), MatrixNorm(w1), t, directions=1440)
+    search = dual_values(dd.mean.values, dd.dim, dd._grid, directions=1440)
+    assert (dd._inner / search - 1.0).max() > 1e-3
+    assert (dd._inner / search - 1.0).min() > -1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("factor", [1.0, 2.5])
+def test_exact_inner_duals_of_proportional_factors_have_the_closed_form(dim, factor):
+    # p_t = c^t |A w|, so p_t*(u) = |A^-T u| / c^t
+    A = random_spd_matrix(np.random.default_rng(dim), dim, spread=0.8).arr
+    dd = GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(factor * A), 0.35, directions=200)
+    want = np.linalg.norm(dd._grid @ np.linalg.inv(A), axis=1) / factor ** 0.35
+    assert np.abs(dd._inner / want - 1.0).max() < 1e-14
+
+
+def test_scalar_double_dual_keeps_its_closed_form_bit_for_bit():
+    # 1 / (2^0.7 3^0.3) and the values it gives, as the search-based
+    # implementation computed them
+    dd = GeometricMeanDoubleDual(MatrixNorm([[2.0]]), MatrixNorm([[3.0]]), 0.3)
+    assert dd._inner[0] == 0.44273374664777815
+    got = dd.values(np.array([[-1.7], [0.4]]))
+    assert np.array_equal(got, [3.8397795805533077, 0.9034775483654842])
+
+
+def test_double_dual_in_the_plane_needs_matrix_factors():
+    with pytest.raises(TypeError):
+        GeometricMeanDoubleDual(EuclideanNorm(2), MatrixNorm(np.eye(2)), 0.5)
+
+
+def test_double_dual_of_a_singular_factor_is_rejected():
+    with pytest.raises(DegenerateSeminormError):
+        GeometricMeanDoubleDual(MatrixNorm(np.diag([1.0, 0.0])), MatrixNorm(np.eye(2)), 0.5)

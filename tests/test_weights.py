@@ -5,9 +5,9 @@ import pytest
 
 from setlp.fields import NormField, lp_norm, random_simple_field
 from setlp.grids import DyadicDomain, dyadic_cube_family
-from setlp.matrices import MatrixField, SpdMatrix
+from setlp.matrices import MatrixField, SpdMatrix, random_spd_matrix
 from setlp.operators import aligned_cells, cube_integral_tree, frac_average
-from setlp.seminorms import EuclideanNorm, MatrixNorm
+from setlp.seminorms import EuclideanNorm, MatrixNorm, dual_values
 from setlp.weights import (
     FIXTURE_CONDITION_CAP,
     AveragedNorm,
@@ -234,3 +234,27 @@ def test_averaging_sup_ratio_rejects_bad_exponents():
     for p in (0.5, math.inf):
         with pytest.raises(ValueError):
             averaging_sup_ratio(rho, p, samples)
+
+
+def test_averaged_matrix_norm_dual_has_the_gram_closed_form():
+    rng = np.random.default_rng(12)
+    for dim in (2, 3):
+        members = [MatrixNorm(random_spd_matrix(rng, dim, spread=0.8).arr) for _ in range(4)]
+        avg = AveragedNorm(members, [0.1, 0.2, 0.3, 0.4], 2.0)
+        V = rng.standard_normal((60, dim))
+        dual = avg.dual()
+        assert isinstance(dual.base, MatrixNorm)
+        closed = dual.values(V)
+        grid = dual_values(avg.values, dim, V, directions=1440)
+        assert np.abs(closed / grid - 1.0).max() < 1e-12
+
+
+def test_norm_check_on_the_interpolated_rotated_weight():
+    # the `norm_field` value of reverse-factorization's side-by-side at seed 7
+    from setlp.harness import ExperimentConfig, _fixture_pair
+
+    config = ExperimentConfig(seed=7)
+    mf0, mf1 = _fixture_pair("rotated", DyadicDomain(1, 5))
+    wbar = reverse_factorization(mf0, mf1, config.ts[len(config.ts) // 2], 2.0, 2.0)
+    rep = ap_norm_check(NormField.from_matrix_field(wbar), 2.0, directions=180)
+    assert rep.constant == pytest.approx(1.215730459058974, rel=1e-14, abs=0.0)
