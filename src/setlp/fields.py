@@ -163,7 +163,7 @@ class NormField:
 
     @classmethod
     def from_matrix_field(cls, mf: MatrixField) -> "NormField":
-        norms = [MatrixNorm(c.arr) for c in mf.cells]
+        norms = [MatrixNorm(m) for m in mf.stack()]
         return cls(mf.domain, norms, "matrix", {"field": mf})
 
     @classmethod
@@ -174,10 +174,10 @@ class NormField:
         # one double dual per distinct cell pair, shared by equal cells
         built = {}
         norms = []
-        for a, b in zip(mf0.cells, mf1.cells):
-            key = (a.arr.tobytes(), b.arr.tobytes())
+        for a, b in zip(mf0.stack(), mf1.stack()):
+            key = (a.tobytes(), b.tobytes())
             if key not in built:
-                built[key] = GeometricMeanDoubleDual(MatrixNorm(a.arr), MatrixNorm(b.arr), t,
+                built[key] = GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), t,
                                                      directions=directions)
             norms.append(built[key])
         return cls(mf0.domain, norms, "gm_double_dual",

@@ -518,7 +518,8 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     which dominates its own double dual.  Each pair is solved once, on the
     finest grid; the coarser grids are nested in it and share its
     denominators, so their double duals are maxima over subsets of the
-    same functionals.  The certified width c2/c1 therefore never grows as
+    same functionals, read off one product of the probes with the finest
+    grid.  The certified width c2/c1 therefore never grows as
     the grid doubles, exactly, and ordering on the finest grid implies it
     on the coarser ones.  The raw measured spread is kept alongside.
     """
@@ -539,8 +540,7 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
         c2 = float((upper / cmp_vals).max())
         widths = []
         ordering_ok = True
-        for m in grids:
-            dd = pair.double_dual.on_subgrid(m).values(probe)
+        for dd in pair.double_dual.nested_values(probe, grids):
             ordering_ok = ordering_ok and bool(np.all(dd <= upper * (1.0 + BOUND_SLACK)))
             ratio = dd / cmp_vals
             widths.append(c2 / float(ratio.min()))
@@ -576,10 +576,9 @@ def run_reverse_factorization(config: ExperimentConfig) -> ExperimentReport:
             wbar = reverse_factorization(mf0, mf1, t, p0, p1)
             constants.append(ap_matrix_constant(wbar, p).constant)
             if lvl == ladder[-1] and wbar.dim == 1:
-                w0 = np.array([c.arr[0, 0] for c in mf0.cells])
-                w1 = np.array([c.arr[0, 0] for c in mf1.cells])
+                w0, w1 = mf0.stack()[:, 0, 0], mf1.stack()[:, 0, 0]
                 expect = w0 ** (1.0 - t) * w1 ** t
-                got = np.array([c.arr[0, 0] for c in wbar.cells])
+                got = wbar.stack()[:, 0, 0]
                 scalar_gap = float(np.abs(got - expect).max())
                 classical = classical_ap_constant(got ** p, domain, p) ** (1.0 / p)
                 oracle_gap = abs(constants[-1] - classical)

@@ -1,21 +1,26 @@
 """Symmetric positive definite matrices, powers, geometric means, fields.
 
-Powers go through a cached symmetric eigendecomposition and the weighted
-geometric mean uses the congruence formula
+Matrices live in validated (k, d, d) stacks held with their symmetric
+eigendecomposition; an SpdMatrix is a stack of one and a MatrixField one
+read-only stack of its cells, validated once, whose per-cell SpdMatrix
+objects are built only on first access.  Each formula below exists once,
+for stacks.  The batched validator rejects matrices that are not
+symmetric to 1e-12 (relative), not positive definite, or with eigenvalue
+ratio beyond 1e12, which keeps every downstream power and inverse
+well-conditioned.  Powers go through the eigendecomposition and the
+weighted geometric mean uses
 
     mean_t(A, B) = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2),
 
 with t restricted to the open interval (0, 1); the endpoint cases are the
-inputs themselves and stay out of scope.  Construction rejects matrices
-that are not symmetric to 1e-12 (relative), not positive definite, or
-with eigenvalue ratio beyond 1e12, which keeps every downstream power and
-inverse well-conditioned.
+inputs themselves and stay out of scope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,63 +31,85 @@ SYMMETRY_RTOL = 1e-12
 CONDITION_LIMIT = 1e12
 
 
-class SpdMatrix:
-    """A validated symmetric positive definite matrix with cached spectrum."""
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
-    __slots__ = ("dim", "arr", "_eig")
+
+class SpdStack(NamedTuple):
+    """A validated (k, d, d) stack of SPD matrices with its eigh, read-only."""
+
+    arr: np.ndarray
+    w: np.ndarray  # (k, d) ascending eigenvalues
+    Q: np.ndarray  # (k, d, d) eigenvectors, one per column
+
+    def take(self, idx) -> "SpdStack":
+        return SpdStack(self.arr[idx], self.w[idx], self.Q[idx])
+
+    def power(self, t: float) -> "SpdStack":
+        B = (self.Q * self.w[:, None, :] ** float(t)) @ np.swapaxes(self.Q, 1, 2)
+        return spd_stack(_sym(B))
+
+
+def spd_stack(entries, *, label: str | None = None) -> SpdStack:
+    """Validate a (k, d, d) stack with one batched eigh, keeping its symmetric
+    part; errors name the first bad matrix as "<label> <index>" or "matrix"."""
+    S = np.asarray(entries, dtype=float)
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise ValueError("matrix must be square")
+    if S.shape[-1] not in (1, 2, 3):
+        raise ValueError(f"matrix dimension must be 1, 2 or 3, got {S.shape[-1]}")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.abs(S).max(axis=(1, 2))
+        checks = [~(np.isfinite(scale) & (scale != 0.0)),
+                  np.abs(S - np.swapaxes(S, 1, 2)).max(axis=(1, 2)) > SYMMETRY_RTOL * scale]
+        S = _sym(S)
+        # rejected matrices go to eigh as the identity, so it sees finite input
+        w, Q = np.linalg.eigh(np.where((checks[0] | checks[1])[:, None, None],
+                                       np.eye(S.shape[-1]), S))
+        cond = w[:, -1] / w[:, 0]
+    checks += [w[:, 0] <= 0.0, cond > CONDITION_LIMIT]
+    failed = np.logical_or.reduce(checks)
+    if failed.any():
+        i = int(failed.argmax())
+        what = ("must be finite and nonzero",
+                "is not symmetric within 1e-12 relative tolerance",
+                "is not positive definite",
+                f"condition {cond[i]:.3e} exceeds the guard {CONDITION_LIMIT:.0e}")
+        name = "matrix" if label is None else f"{label} {i}"
+        raise ValueError(f"{name} {next(m for m, bad in zip(what, checks) if bad[i])}")
+    for x in (S, w, Q):
+        x.setflags(write=False)
+    return SpdStack(S, w, Q)
+
+
+def mean_stack(A: SpdStack, B: SpdStack, t: float) -> SpdStack:
+    """Weighted geometric mean of two equal-length stacks, matrix by matrix."""
+    half, ihalf = A.power(0.5), A.power(-0.5)
+    mid = ihalf.arr @ B.arr @ ihalf.arr
+    mid_t = spd_stack(_sym(mid)).power(t)
+    return spd_stack(_sym(half.arr @ mid_t.arr @ half.arr))
+
+
+class SpdMatrix:
+    """A validated symmetric positive definite matrix: a stack of one."""
+
+    __slots__ = ("dim", "arr", "spd")
 
     def __init__(self, entries):
-        A = np.asarray(getattr(entries, "arr", entries), dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
-        d = A.shape[0]
-        if d not in (1, 2, 3):
-            raise ValueError(f"matrix dimension must be 1, 2 or 3, got {d}")
-        scale = float(np.abs(A).max())
-        if scale == 0.0 or not np.isfinite(scale):
-            raise ValueError("matrix must be finite and nonzero")
-        if float(np.abs(A - A.T).max()) > SYMMETRY_RTOL * scale:
-            raise ValueError("matrix is not symmetric within 1e-12 relative tolerance")
-        A = 0.5 * (A + A.T)
-        w, Q = np.linalg.eigh(A)
-        if w[0] <= 0.0:
-            raise ValueError("matrix is not positive definite")
-        if w[-1] / w[0] > CONDITION_LIMIT:
-            raise ValueError(
-                f"matrix condition {w[-1] / w[0]:.3e} exceeds the guard {CONDITION_LIMIT:.0e}"
-            )
-        A = np.ascontiguousarray(A)
-        A.setflags(write=False)
-        self.dim = d
-        self.arr = A
-        self._eig = (w, Q)
+        """entries: a square matrix, or a validated SpdStack of one."""
+        if not isinstance(entries, SpdStack):
+            entries = spd_stack(np.asarray(getattr(entries, "arr", entries), dtype=float)[None])
+        self.spd, self.arr, self.dim = entries, entries.arr[0], entries.arr.shape[-1]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._eig[0]
-
-    @property
-    def operator_norm(self) -> float:
-        return float(self._eig[0][-1])
+        return self.spd.w[0]
 
     def power(self, t: float) -> "SpdMatrix":
-        w, Q = self._eig
-        B = (Q * w ** float(t)) @ Q.T
-        return SpdMatrix(0.5 * (B + B.T))
-
-    def inv(self) -> "SpdMatrix":
-        return self.power(-1.0)
+        return SpdMatrix(self.spd.power(t))
 
     def __repr__(self):
         return f"SpdMatrix(dim={self.dim})"
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "entries": [float(x) for x in self.arr.ravel()]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpdMatrix":
-        d = int(data["dim"])
-        return cls(np.asarray(data["entries"], dtype=float).reshape(d, d))
 
 
 def geometric_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
@@ -96,12 +123,7 @@ def geometric_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     t = float(t)
     if not 0.0 < t < 1.0:
         raise ValueError(f"geometric mean weight must lie strictly in (0, 1), got {t}")
-    half = A.power(0.5)
-    ihalf = A.power(-0.5)
-    mid = ihalf.arr @ B.arr @ ihalf.arr
-    mid_t = SpdMatrix(0.5 * (mid + mid.T)).power(t)
-    out = half.arr @ mid_t.arr @ half.arr
-    return SpdMatrix(0.5 * (out + out.T))
+    return SpdMatrix(mean_stack(A.spd, B.spd, t))
 
 
 def operator_norm(M) -> float:
@@ -172,39 +194,45 @@ def random_spd_matrix(rng: np.random.Generator, d: int, *,
 
 
 class MatrixField:
-    """A piecewise-constant SPD matrix field on a dyadic domain."""
+    """A piecewise-constant SPD matrix field on a dyadic domain: one validated
+    stack ``spd`` of all cells; ``cells`` builds SpdMatrix objects on first use."""
 
-    __slots__ = ("domain", "cells")
+    __slots__ = ("domain", "spd", "_cells")
 
     def __init__(self, domain: DyadicDomain, cells):
-        cells = tuple(c if isinstance(c, SpdMatrix) else SpdMatrix(c) for c in cells)
-        if len(cells) != domain.num_cells:
-            raise ValueError(
-                f"matrix field needs {domain.num_cells} cells, got {len(cells)}"
-            )
-        dims = {c.dim for c in cells}
-        if len(dims) != 1:
-            raise ValueError("all cells of a matrix field must share one dimension")
-        self.domain = domain
-        self.cells = cells
+        """cells: an SpdStack, or num_cells matrices (an array or a sequence)."""
+        if not isinstance(cells, SpdStack):
+            cells = [getattr(c, "arr", c) for c in cells]
+            if len(cells) != domain.num_cells:
+                raise ValueError(f"matrix field needs {domain.num_cells} cells, got {len(cells)}")
+            cells = spd_stack(cells, label="cell")
+        self.domain, self.spd, self._cells = domain, cells, None
 
     @property
     def dim(self) -> int:
-        return self.cells[0].dim
+        return self.spd.arr.shape[-1]
+
+    @property
+    def cells(self) -> tuple:
+        if self._cells is None:
+            self._cells = tuple(SpdMatrix(self.spd.take(slice(i, i + 1)))
+                                for i in range(len(self.spd.arr)))
+        return self._cells
 
     def stack(self) -> np.ndarray:
-        """All cell matrices as one array, shape (num_cells, d, d)."""
-        return np.stack([c.arr for c in self.cells])
+        """All cell matrices as one read-only array, shape (num_cells, d, d)."""
+        return self.spd.arr
 
     def to_dict(self) -> dict:
         return {
             "n": self.domain.n,
             "grid_level": self.domain.level,
-            "cells": {str(i): c.to_dict() for i, c in enumerate(self.cells)},
+            "cells": {str(i): {"dim": self.dim, "entries": [float(x) for x in m.ravel()]}
+                      for i, m in enumerate(self.spd.arr)},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MatrixField":
         domain = DyadicDomain(int(data.get("n", 1)), int(data["grid_level"]))
-        cells = [SpdMatrix.from_dict(data["cells"][str(i)]) for i in range(domain.num_cells)]
-        return cls(domain, cells)
+        cells = [data["cells"][str(i)] for i in range(domain.num_cells)]
+        return cls(domain, [np.reshape(c["entries"], (int(c["dim"]),) * 2) for c in cells])

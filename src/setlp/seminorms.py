@@ -437,8 +437,13 @@ class GeometricMeanDoubleDual(Seminorm):
             raise DegenerateSeminormError("geometric mean degenerate on a grid direction")
 
     def values(self, V):
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        return (np.abs(V @ self._grid.T) / self._inner).max(axis=1)
+        return self._ratios(V).max(axis=1)
+
+    def _ratios(self, V) -> np.ndarray:
+        """|<v, u_i>| / inner[i] for every row v of V and grid direction u_i."""
+        ratios = np.atleast_2d(np.asarray(V, dtype=float)) @ self._grid.T
+        np.abs(ratios, out=ratios)
+        return np.divide(ratios, self._inner, out=ratios)
 
     def on_subgrid(self, directions: int) -> "GeometricMeanDoubleDual":
         """This double dual on the nested grid of ``directions`` directions.
@@ -448,21 +453,30 @@ class GeometricMeanDoubleDual(Seminorm):
         exceed this evaluator's.  Raises ValueError unless
         direction_grid(dim, directions) equals that slice bit for bit.
         """
+        rows = self._nested_rows(directions)
+        sub = copy.copy(self)
+        sub.directions = directions
+        sub._grid = np.ascontiguousarray(self._grid[rows])
+        sub._inner = self._inner[rows]
+        return sub
+
+    def nested_values(self, V, counts) -> list:
+        """``on_subgrid(m).values(V)`` for each m in counts, read off one
+        product with this grid, of which the nested grids are column slices."""
+        ratios = self._ratios(V)
+        return [ratios[:, self._nested_rows(m)].max(axis=1) for m in counts]
+
+    def _nested_rows(self, directions: int) -> slice:
         if directions < 1:
             raise ValueError(f"direction count must be positive, got {directions}")
         if self.dim == 2 and self.directions % directions == 0:
             rows = slice(None, None, self.directions // directions)
         else:
             rows = slice(None, directions)
-        grid = direction_grid(self.dim, directions)
-        if not np.array_equal(grid, self._grid[rows]):
+        if not np.array_equal(direction_grid(self.dim, directions), self._grid[rows]):
             raise ValueError(f"the {directions}-direction grid is not nested in "
                              f"the {self.directions}-direction grid")
-        sub = copy.copy(self)
-        sub.directions = directions
-        sub._grid = grid
-        sub._inner = self._inner[rows]
-        return sub
+        return rows
 
     def mean_values(self, V) -> np.ndarray:
         """The raw geometric mean p_t on a stack of vectors."""

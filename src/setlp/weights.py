@@ -10,8 +10,11 @@ the module also computes directly as an independent oracle.  The
 averaging characterization is measured through the sup over aligned
 cubes of the weighted norm ratio of the cube average operator.
 
+Weight fields are read as their validated cells × d × d stacks, with no
+per-cell matrix object; the fixtures build those stacks directly.
 Reverse factorization combines two SPD fields cellwise through the
-weighted geometric mean of their squares; the induced norm is expected
+weighted geometric mean of their squares, in one batch over the stack
+with every intermediate validated; the induced norm is expected
 to carry the interpolated exponent 1/p = (1-t)/p0 + t/p1.  A variant
 convention replacing the second term by 1/p1 is kept behind a flag for
 comparison and is rejected when it produces an exponent below 1.
@@ -27,7 +30,7 @@ import numpy as np
 from .bodies import scale
 from .fields import NormField, lp_norm
 from .grids import DyadicCube, DyadicDomain, dyadic_cube_family
-from .matrices import MatrixField, SpdMatrix, geometric_mean, operator_norms
+from .matrices import MatrixField, mean_stack, operator_norms
 from .operators import _cell_overlaps, aligned_cells
 from .seminorms import DegenerateSeminormError, DualNorm, MatrixNorm, Seminorm, direction_grid
 
@@ -258,19 +261,23 @@ def reverse_factorization(W0: MatrixField, W1: MatrixField, t: float,
     target exponent via interpolated_exponent but do not enter the
     matrix construction.  Cells with bitwise-equal inputs are passed
     through unchanged (the mean of a matrix with itself is itself), so
-    identical fixtures keep identical characteristics.
+    identical fixtures keep identical characteristics, and W0 itself comes
+    back when every cell is equal.  The other cells run as one batch.
     """
     if W0.domain != W1.domain:
         raise ValueError("weight fields live on different grids")
     if W0.dim != W1.dim:
         raise ValueError("weight fields have different matrix dimensions")
     interpolated_exponent(p0, p1, t, convention)
-    cells = []
-    for a, b in zip(W0.cells, W1.cells):
-        if np.array_equal(a.arr, b.arr):
-            cells.append(a)
-        else:
-            cells.append(geometric_mean(a.power(2.0), b.power(2.0), t).power(0.5))
+    A, B = W0.spd, W1.spd
+    moved = ~(A.arr == B.arr).all(axis=(1, 2))
+    if not moved.any():
+        return W0
+    out = mean_stack(A.take(moved).power(2.0), B.take(moved).power(2.0), t).power(0.5)
+    if moved.all():
+        return MatrixField(W0.domain, out)
+    cells = np.array(A.arr)
+    cells[moved] = out.arr
     return MatrixField(W0.domain, cells)
 
 
@@ -287,6 +294,20 @@ def _profile(centers: np.ndarray, amplitude: float, frequency: float,
     return amplitude * acc / n
 
 
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """f elementwise via math: numpy's exp and cos can differ in the last bit."""
+    return np.array([f(v) for v in x])
+
+
+def _rotated_diag(angles: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """R(a) diag(e0, e1) R(a)^T per cell, R(a) the rotation by angle a."""
+    c, s = _libm(math.cos, angles), _libm(math.sin, angles)
+    R = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    D = np.zeros_like(R)
+    D[:, 0, 0], D[:, 1, 1] = e0, e1
+    return R @ D @ np.swapaxes(R, 1, 2)
+
+
 def fixture_weights(kind: str, params: dict | None, grid: DyadicDomain) -> MatrixField:
     """Deterministic SPD weight fields for the verification suites.
 
@@ -299,25 +320,25 @@ def fixture_weights(kind: str, params: dict | None, grid: DyadicDomain) -> Matri
     centers = grid.cell_centers()
     if kind == "identity":
         d = int(params.pop("dim", 2))
-        cells = [SpdMatrix(np.eye(d))] * grid.num_cells
+        cells = np.broadcast_to(np.eye(d), (grid.num_cells, d, d))
     elif kind == "constant":
         entries = params.pop("matrix", None)
         if entries is None:
             raise ValueError("constant fixture needs a 'matrix' parameter")
-        cell = SpdMatrix(np.asarray(entries, dtype=float))
-        cells = [cell] * grid.num_cells
+        entries = np.asarray(entries, dtype=float)
+        cells = np.broadcast_to(entries, (grid.num_cells,) + entries.shape)
     elif kind == "scalar_two_valued":
         low = float(params.pop("low", 1.0))
         high = float(params.pop("high", 4.0))
         if low <= 0.0 or high <= 0.0:
             raise ValueError("two-valued fixture needs positive values")
-        cells = [SpdMatrix([[low if x[0] < 0.5 else high]]) for x in centers]
+        cells = np.where(centers[:, 0] < 0.5, low, high)[:, None, None]
     elif kind == "scalar_profile":
         amplitude = float(params.pop("amplitude", 0.8))
         frequency = float(params.pop("frequency", 1.0))
         phase = float(params.pop("phase", 0.0))
         values = np.exp(_profile(centers, amplitude, frequency, phase))
-        cells = [SpdMatrix([[v]]) for v in values]
+        cells = values[:, None, None]
     elif kind == "rotated_diag":
         theta0 = float(params.pop("theta0", 0.3))
         theta1 = float(params.pop("theta1", 2.0))
@@ -327,11 +348,7 @@ def fixture_weights(kind: str, params: dict | None, grid: DyadicDomain) -> Matri
         if centers.shape[1] > 1:
             angles = angles + 0.7 * theta1 * centers[:, 1]
         logs = _profile(centers, spread, frequency, 0.25)
-        cells = []
-        for ang, lg in zip(angles, logs):
-            c, s = math.cos(ang), math.sin(ang)
-            R = np.array([[c, -s], [s, c]])
-            cells.append(SpdMatrix(R @ np.diag([math.exp(lg), math.exp(-lg)]) @ R.T))
+        cells = _rotated_diag(angles, _libm(math.exp, logs), _libm(math.exp, -logs))
     elif kind == "random_spd":
         seed = int(params.pop("seed", 0))
         d = int(params.pop("dim", 2))
@@ -352,26 +369,23 @@ def fixture_weights(kind: str, params: dict | None, grid: DyadicDomain) -> Matri
             return acc
 
         logs = series(0, 0.0)
-        cells = []
         if d == 1:
-            cells = [SpdMatrix([[math.exp(v)]]) for v in logs]
+            cells = _libm(math.exp, logs)[:, None, None]
         else:
-            angles = series(1, 0.5) * math.pi
-            logs2 = series(2, 1.0)
-            for ang, l1, l2 in zip(angles, logs, logs2):
-                c, s = math.cos(ang), math.sin(ang)
-                R = np.array([[c, -s], [s, c]])
-                cells.append(SpdMatrix(R @ np.diag([math.exp(l1), math.exp(l2)]) @ R.T))
+            cells = _rotated_diag(series(1, 0.5) * math.pi, _libm(math.exp, logs),
+                                  _libm(math.exp, series(2, 1.0)))
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
+    field = MatrixField(grid, cells)
     if params:
         raise ValueError(f"unused fixture parameters: {sorted(params)}")
-    worst = max(c.eigenvalues[-1] / c.eigenvalues[0] for c in cells)
+    eig = field.spd.w
+    worst = (eig[:, -1] / eig[:, 0]).max()
     if worst > FIXTURE_CONDITION_CAP:
         raise ValueError(
             f"fixture condition {worst:.3e} exceeds the cap {FIXTURE_CONDITION_CAP:.0e}"
         )
-    return MatrixField(grid, cells)
+    return field
 
 
 def classical_ap_constant(weight_values, domain: DyadicDomain, p: float,

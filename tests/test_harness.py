@@ -28,10 +28,12 @@ from setlp.harness import (
     run_bodies_selftest,
     run_endpoint_bounds,
     run_marcinkiewicz,
+    run_reverse_factorization,
     run_riesz_thorin,
     thread_count,
     trial_field,
 )
+from setlp.matrices import SpdMatrix, gm_double_dual_norm, random_spd_matrix
 
 
 def test_config_validation():
@@ -190,6 +192,46 @@ def test_comparability_widths_never_grow_under_refinement():
     records, _ = _comparability_block(ExperimentConfig(seed=7))
     for r in records:
         assert r["widths"][0] >= r["widths"][1] >= r["widths"][2], r["pair"]
+
+
+def _spd_matrices_made(monkeypatch, runner, config) -> int:
+    # every SpdMatrix goes through __init__, the lazy cells of a field too
+    made = []
+    init = SpdMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SpdMatrix, "__init__", counting_init)
+        assert runner(config).passed
+    return len(made)
+
+
+@pytest.mark.parametrize("runner, options", [
+    (run_reverse_factorization, {}),
+    (run_riesz_thorin, {"trials": 2, "directions": 60}),
+])
+def test_weight_suites_make_no_spd_matrix_per_cell(monkeypatch, runner, options):
+    coarse = _spd_matrices_made(monkeypatch, runner, ExperimentConfig(seed=7, level=3, **options))
+    fine = _spd_matrices_made(monkeypatch, runner, ExperimentConfig(seed=7, level=5, **options))
+    assert coarse == fine
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nested_maxima_are_bitwise_the_subgrid_values(d):
+    rng = np.random.default_rng(40 + d)
+    dd = gm_double_dual_norm(random_spd_matrix(rng, d, spread=0.8),
+                             random_spd_matrix(rng, d, spread=0.8), 0.5,
+                             directions=1440).double_dual
+    probe = rng.standard_normal((1000, d))
+    probe /= np.linalg.norm(probe, axis=1, keepdims=True)
+    grids = (360, 720, 1440)
+    for m, got in zip(grids, dd.nested_values(probe, grids)):
+        assert got.tobytes() == dd.on_subgrid(m).values(probe).tobytes()
+    with pytest.raises(ValueError, match="not nested"):
+        dd.nested_values(probe, (2880,))
 
 
 def test_bodies_selftest_runs():

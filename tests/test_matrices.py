@@ -99,6 +99,36 @@ def test_matrix_field_roundtrip():
         MatrixField(domain, cells[:-1])
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([[1.0, 0.5], [0.4, 1.0]], "cell 2 is not symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "cell 2 is not positive definite"),
+    (np.diag([1.0, 1e13]), "cell 2 condition"),
+])
+def test_matrix_field_stack_names_the_bad_cell(bad, message):
+    domain = DyadicDomain(1, 2)
+    stack = np.array([np.eye(2)] * domain.num_cells)
+    stack[2] = bad
+    stack[3] = [[1.0, 2.0], [2.0, 1.0]]  # a later bad cell is not the one named
+    with pytest.raises(ValueError, match=message):
+        MatrixField(domain, stack)
+
+
+def test_matrix_field_dict_format_and_lazy_cells():
+    domain = DyadicDomain(1, 1)
+    saved = {"n": 1, "grid_level": 1, "cells": {
+        "0": {"dim": 2, "entries": [2.0, 0.5, 0.5, 1.0]},
+        "1": {"dim": 2, "entries": [1.0, 0.0, 0.0, 3.0]},
+    }}
+    mf = MatrixField.from_dict(saved)
+    assert mf.to_dict() == saved
+    assert mf.domain == domain and mf.stack().shape == (2, 2, 2)
+    assert not mf.stack().flags.writeable
+    cells = mf.cells
+    assert mf.cells is cells
+    assert [c.arr.tolist() for c in cells] == mf.stack().tolist()
+    assert np.array_equal(cells[1].eigenvalues, [1.0, 3.0])
+
+
 def test_gm_norm_pair_structure():
     rng = np.random.default_rng(6)
     W0 = random_spd_matrix(rng, 2)

@@ -89,6 +89,21 @@ def test_fixture_condition_cap():
                         domain)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_rotated_fixture_stack_is_bitwise_the_per_cell_product(n):
+    from setlp.weights import _profile
+
+    domain = DyadicDomain(n, 4 if n == 1 else 3)
+    W = fixture_weights("rotated_diag", {"theta0": 0.3, "spread": 0.8}, domain)
+    centers = domain.cell_centers()
+    angles = 0.3 + 2.0 * centers[:, 0] + (1.4 * centers[:, 1] if n == 2 else 0.0)
+    for ang, lg, got in zip(angles, _profile(centers, 0.8, 1.0, 0.25), W.stack()):
+        c, s = math.cos(ang), math.sin(ang)
+        R = np.array([[c, -s], [s, c]])
+        M = R @ np.diag([math.exp(lg), math.exp(-lg)]) @ R.T
+        assert got.tobytes() == (0.5 * (M + M.T)).tobytes()
+
+
 def test_reverse_factorization_scalar_oracle():
     rng = np.random.default_rng(33)
     domain = DyadicDomain(1, 3)
@@ -107,6 +122,56 @@ def test_reverse_factorization_passes_equal_cells_through():
     got = reverse_factorization(W, W, 0.3, 2.0, 4.0)
     for a, b in zip(got.cells, W.cells):
         assert a is b
+
+
+def _factorization_oracle(a, b, t):
+    """One cell of the reverse factorization in plain numpy, one matrix at
+    a time: each power from the eigh of its own matrix, then symmetrized."""
+    def sym(M):
+        return 0.5 * (M + M.T)
+
+    def power(A, s):
+        w, Q = np.linalg.eigh(A)
+        return sym((Q * w ** s) @ Q.T)
+
+    if np.array_equal(a, b):
+        return a
+    a2, b2 = power(a, 2.0), power(b, 2.0)
+    half, ihalf = power(a2, 0.5), power(a2, -0.5)
+    mid_t = power(sym(ihalf @ b2 @ ihalf), t)
+    return power(sym(half @ mid_t @ half), 0.5)
+
+
+def _oracle_pairs():
+    from setlp.harness import _fixture_pair
+
+    for name, n, level in (("rotated", 1, 8), ("random", 1, 8),
+                           ("rotated", 2, 4), ("random", 2, 4)):
+        yield _fixture_pair(name, DyadicDomain(n, level))
+    # every third cell of the second field equal to the first
+    W0, W1 = _fixture_pair("random", DyadicDomain(1, 5))
+    some = (np.arange(W0.domain.num_cells) % 3 == 0)[:, None, None]
+    yield W0, MatrixField(W0.domain, np.where(some, W0.stack(), W1.stack()))
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_batched_reverse_factorization_is_bitwise_the_per_cell_formula(t):
+    for W0, W1 in _oracle_pairs():
+        got = reverse_factorization(W0, W1, t, 2.0, 2.0).stack()
+        want = np.array([_factorization_oracle(a, b, t)
+                         for a, b in zip(W0.stack(), W1.stack())])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_reverse_factorization_keeps_the_squared_condition_guard():
+    # cond(W0) = 2e6 passes the 1e12 guard, but W0^2 does not
+    domain = DyadicDomain(1, 1)
+    W0 = MatrixField(domain, [np.diag([1.0, 2e6]), np.eye(2)])
+    W1 = MatrixField(domain, [np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError, match="condition"):
+        reverse_factorization(W0, W1, 0.5, 2.0, 2.0)
+    # the same cell passes through when both fields hold it
+    assert reverse_factorization(W0, W0, 0.5, 2.0, 2.0) is W0
 
 
 def test_reverse_factorization_validation():
