@@ -18,15 +18,8 @@ to pairwise vertex sums plus a hull prune.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
-
-_log = logging.getLogger(__name__)
-
-#: generators kept per body before the capped reduction kicks in
-DEFAULT_GENERATOR_CAP = 256
 
 _RANK_RTOL = 1e-13
 
@@ -41,34 +34,6 @@ def _canonical_signs(G: np.ndarray) -> np.ndarray:
     signs = np.sign(G[np.arange(len(G)), lead])
     signs[signs == 0.0] = 1.0
     return G * signs[:, None]
-
-
-def _cap_directions(dim: int, count: int) -> np.ndarray:
-    if dim == 2:
-        th = np.arange(count) * (np.pi / count)
-        return np.column_stack([np.cos(th), np.sin(th)])
-    # dim == 3: low-discrepancy sphere points (see seminorms.direction_grid)
-    from .seminorms import direction_grid
-
-    return direction_grid(3, count)
-
-
-def _reduce_to_cap(G: np.ndarray, cap: int) -> np.ndarray:
-    """Keep per-direction argmax generators on a cap-sized direction grid.
-
-    Inner approximation: the kept set is a subset of the generators, so
-    every support value can only shrink.  The incurred support error is
-    measured on a 4x finer grid and logged.
-    """
-    dim = G.shape[1]
-    dirs = _cap_directions(dim, cap)
-    scores = np.abs(G @ dirs.T)  # (m, cap)
-    keep = np.unique(np.argmax(scores, axis=0))
-    reduced = G[keep]
-    probe = _cap_directions(dim, 4 * cap)
-    err = float(np.max(np.abs(G @ probe.T).max(axis=0) - np.abs(reduced @ probe.T).max(axis=0)))
-    _log.debug("generator cap: %d -> %d, support error %.3e", len(G), len(reduced), err)
-    return reduced
 
 
 def _prune_full_rank(G: np.ndarray) -> np.ndarray:
@@ -96,8 +61,6 @@ def _prune(dim: int, G: np.ndarray) -> np.ndarray:
             G = _prune_full_rank(G)
         except QhullError:
             G = _prune_degenerate(dim, G)
-    if len(G) > DEFAULT_GENERATOR_CAP:
-        G = _reduce_to_cap(G, DEFAULT_GENERATOR_CAP)
     return np.ascontiguousarray(G)
 
 
@@ -171,15 +134,6 @@ class ConvexBody:
     def __repr__(self):
         return f"ConvexBody(dim={self.dim}, generators={self.num_generators})"
 
-    def __add__(self, other):
-        return minkowski_sum(self, other)
-
-    def __rmul__(self, lam):
-        return scale(lam, self)
-
-    def __or__(self, other):
-        return conv_union(self, other)
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -193,16 +147,6 @@ class ConvexBody:
 def origin_body(dim: int) -> ConvexBody:
     """The degenerate body {0}."""
     return ConvexBody(dim, np.empty((0, dim)), prune=False)
-
-
-def support(A: ConvexBody, u) -> float:
-    """Support function sup_{x in A} <x, u> = max_i |<g_i, u>|."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (A.dim,):
-        raise ValueError("direction dimension mismatch")
-    if A.is_origin():
-        return 0.0
-    return float(np.max(np.abs(A.generators @ u)))
 
 
 def support_batch(A: ConvexBody, U: np.ndarray) -> np.ndarray:

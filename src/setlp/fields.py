@@ -145,26 +145,22 @@ class NormField:
     matrix fields with a weight t.
     """
 
-    __slots__ = ("domain", "norms", "kind", "payload")
+    __slots__ = ("domain", "norms")
 
-    def __init__(self, domain: DyadicDomain, norms, kind: str, payload: dict):
+    def __init__(self, domain: DyadicDomain, norms):
         norms = tuple(norms)
         if len(norms) != domain.num_cells:
             raise ValueError(f"norm field needs {domain.num_cells} cells, got {len(norms)}")
         self.domain = domain
         self.norms = norms
-        self.kind = kind
-        self.payload = payload
 
     @classmethod
     def euclidean(cls, domain: DyadicDomain, dim: int) -> "NormField":
-        rho = EuclideanNorm(dim)
-        return cls(domain, [rho] * domain.num_cells, "euclidean", {"dim": dim})
+        return cls(domain, [EuclideanNorm(dim)] * domain.num_cells)
 
     @classmethod
     def from_matrix_field(cls, mf: MatrixField) -> "NormField":
-        norms = [MatrixNorm(m) for m in mf.stack()]
-        return cls(mf.domain, norms, "matrix", {"field": mf})
+        return cls(mf.domain, [MatrixNorm(m) for m in mf.stack()])
 
     @classmethod
     def gm_double_dual(cls, mf0: MatrixField, mf1: MatrixField, t: float,
@@ -180,45 +176,11 @@ class NormField:
                 built[key] = GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), t,
                                                      directions=directions)
             norms.append(built[key])
-        return cls(mf0.domain, norms, "gm_double_dual",
-                   {"field0": mf0, "field1": mf1, "t": float(t),
-                    "directions": norms[0].directions})
+        return cls(mf0.domain, norms)
 
     @property
     def dim(self) -> int:
         return self.norms[0].dim
-
-    def to_dict(self) -> dict:
-        body: dict = {"kind": self.kind, "n": self.domain.n, "grid_level": self.domain.level}
-        if self.kind == "euclidean":
-            body["dim"] = self.payload["dim"]
-        elif self.kind == "matrix":
-            body["field"] = self.payload["field"].to_dict()
-        elif self.kind == "gm_double_dual":
-            body["field0"] = self.payload["field0"].to_dict()
-            body["field1"] = self.payload["field1"].to_dict()
-            body["t"] = self.payload["t"]
-            body["directions"] = self.payload["directions"]
-        else:
-            raise ValueError(f"cannot serialize norm field kind {self.kind!r}")
-        return body
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NormField":
-        kind = data["kind"]
-        if kind == "euclidean":
-            domain = DyadicDomain(int(data["n"]), int(data["grid_level"]))
-            return cls.euclidean(domain, int(data["dim"]))
-        if kind == "matrix":
-            return cls.from_matrix_field(MatrixField.from_dict(data["field"]))
-        if kind == "gm_double_dual":
-            return cls.gm_double_dual(
-                MatrixField.from_dict(data["field0"]),
-                MatrixField.from_dict(data["field1"]),
-                float(data["t"]),
-                directions=data.get("directions"),
-            )
-        raise ValueError(f"unknown norm field kind {kind!r}")
 
 
 def _cell_values(field: SetField, rho) -> np.ndarray:

@@ -228,6 +228,13 @@ def dyadic_cube_family(domain: DyadicDomain, tau: tuple[Fraction, ...] | None = 
     return out
 
 
+def _ancestor_ids(n: int, fine: int, j: int) -> np.ndarray:
+    """Row-major index, among the 2^(jn) cubes of level j, of the ancestor
+    of every level-`fine` cube taken in row-major order."""
+    coords = np.indices((1 << fine,) * n).reshape(n, -1) >> (fine - j)
+    return np.ravel_multi_index(tuple(coords), (1 << j,) * n)
+
+
 def _scaled_corners(n: int, tau: tuple[Fraction, ...], level: int) -> np.ndarray:
     """Integer corners of the covering cubes, in cubes_covering_domain's
     order; one row per cube."""

@@ -6,10 +6,9 @@ The marcinkiewicz and endpoints trials need only magnitudes: |F| per cell,
 |M_alpha F|(x) = max over cubes Q containing x of vol(Q)^(alpha-1) |int_Q F|.
 They read all three off the trial field's generator array
 (fields.cell_magnitudes, operators.cube_magnitudes and maximal_magnitudes)
-and never build a ConvexBody, so no Qhull call or generator cap is on their
-path.  The set-valued API (cube_integral_tree, dyadic_frac_maximal) stays
-the reference the tests hold these against, and the riesz-thorin and
-reverse-factorization suites use it.
+and never build a ConvexBody.  The set-valued API (cube_integral_tree,
+dyadic_frac_maximal) stays the reference the tests hold these against, and
+the riesz-thorin and reverse-factorization suites use it.
 
 Each suite returns an ExperimentReport whose per-trial records are enough to
 recompute every aggregate.  Reports serialize to canonical JSON (sorted keys,
@@ -471,8 +470,8 @@ def run_riesz_thorin(config: ExperimentConfig) -> ExperimentReport:
             fixture_sups[k].append(averaging_sup_ratio(rho, p, samples[rho.dim]))
             if lvl == ladder[-1]:
                 fixture_endpoints[k] = {
-                    "p0": ap_matrix_constant(mf0, p0).constant,
-                    "p1": ap_matrix_constant(mf1, p1).constant,
+                    "p0": ap_matrix_constant(mf0, p0),
+                    "p1": ap_matrix_constant(mf1, p1),
                 }
 
     records = []
@@ -574,7 +573,7 @@ def run_reverse_factorization(config: ExperimentConfig) -> ExperimentReport:
             domain = DyadicDomain(1, lvl)
             mf0, mf1 = _fixture_pair(name, domain)
             wbar = reverse_factorization(mf0, mf1, t, p0, p1)
-            constants.append(ap_matrix_constant(wbar, p).constant)
+            constants.append(ap_matrix_constant(wbar, p))
             if lvl == ladder[-1] and wbar.dim == 1:
                 w0, w1 = mf0.stack()[:, 0, 0], mf1.stack()[:, 0, 0]
                 expect = w0 ** (1.0 - t) * w1 ** t
@@ -599,7 +598,7 @@ def run_reverse_factorization(config: ExperimentConfig) -> ExperimentReport:
     domain = DyadicDomain(1, min(config.level, 5))
     mf0, mf1 = _fixture_pair("rotated", domain)
     wbar = reverse_factorization(mf0, mf1, t, p0, p1)
-    matrix_ap = ap_matrix_constant(wbar, p).constant
+    matrix_ap = ap_matrix_constant(wbar, p)
     rho = NormField.from_matrix_field(wbar)
     norm_check = ap_norm_check(rho, p, directions=config.directions or 180)
     scan_fields = [random_simple_field(_trial_rng(config.seed, i), domain, rho.dim)

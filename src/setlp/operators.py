@@ -32,6 +32,7 @@ from .fields import SetField, add_fields, cell_magnitudes
 from .grids import (
     DyadicCube,
     DyadicDomain,
+    _ancestor_ids,
     cube_containing_point,
     cubes_covering_domain,
     dyadic_cube_family,
@@ -311,15 +312,8 @@ def dyadic_frac_maximal(field: SetField, alpha: float, tau=None) -> SetField:
 # The field suites only need |int_Q F| over aligned cubes and the magnitude
 # identity |M_alpha F|(x) = max over cubes Q containing x of
 # vol(Q)^(alpha-1) |int_Q F|.  These functions compute both from the
-# generator array with no ConvexBody, Qhull call or generator cap, and stay
-# apart from the body path above, which remains the reference.
-
-
-def _ancestor_ids(n: int, fine: int, j: int) -> np.ndarray:
-    """Row-major index, among the 2^(jn) cubes of level j, of the ancestor
-    of every level-`fine` cube taken in row-major order."""
-    coords = np.indices((1 << fine,) * n).reshape(n, -1) >> (fine - j)
-    return np.ravel_multi_index(tuple(coords), (1 << j,) * n)
+# generator array with no ConvexBody or Qhull call, and stay apart from the
+# body path above, which remains the reference.
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -259,14 +259,9 @@ class HomogeneousFunctional:
     def value(self, v) -> float:
         return float(self.values(np.atleast_2d(np.asarray(v, dtype=float)))[0])
 
-    def __call__(self, v) -> float:
-        return self.value(v)
-
 
 class Seminorm(HomogeneousFunctional):
     """A convex homogeneous evaluator; sup over a body sits at a generator."""
-
-    is_norm: bool = False
 
     def of_body(self, body: ConvexBody) -> float:
         if body.dim != self.dim:
@@ -280,8 +275,6 @@ class Seminorm(HomogeneousFunctional):
 
 
 class EuclideanNorm(Seminorm):
-    is_norm = True
-
     def __init__(self, dim: int):
         self.dim = dim
 
@@ -304,16 +297,6 @@ class MatrixNorm(Seminorm):
         self.dim = A.shape[0]
         self._inv_t = None
 
-    @property
-    def is_invertible(self) -> bool:
-        try:
-            self._inverse_transpose()
-            return True
-        except np.linalg.LinAlgError:
-            return False
-
-    is_norm = property(lambda self: self.is_invertible)  # type: ignore[assignment]
-
     def _inverse_transpose(self) -> np.ndarray:
         if self._inv_t is None:
             self._inv_t = np.linalg.inv(self.matrix).T
@@ -329,8 +312,6 @@ class MatrixNorm(Seminorm):
 
 class GaugeNorm(Seminorm):
     """The Minkowski functional of a symmetric convex body."""
-
-    is_norm = True
 
     def __init__(self, body: ConvexBody):
         if body.is_origin():
@@ -359,8 +340,6 @@ class DualNorm(Seminorm):
     base (including a DualNorm itself) evaluates through the refined
     direction-grid search.
     """
-
-    is_norm = True
 
     def __init__(self, base: HomogeneousFunctional, *, directions: int | None = None):
         self.base = base
@@ -417,8 +396,6 @@ class GeometricMeanDoubleDual(Seminorm):
     of absolute linear functionals, hence a norm, and is bounded above by
     the raw geometric mean pointwise.
     """
-
-    is_norm = True
 
     def __init__(self, p0: Seminorm, p1: Seminorm, t: float, *, directions: int | None = None):
         self.mean = WeightedGeometricMean(p0, p1, t)

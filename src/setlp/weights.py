@@ -15,9 +15,7 @@ per-cell matrix object; the fixtures build those stacks directly.
 Reverse factorization combines two SPD fields cellwise through the
 weighted geometric mean of their squares, in one batch over the stack
 with every intermediate validated; the induced norm is expected
-to carry the interpolated exponent 1/p = (1-t)/p0 + t/p1.  A variant
-convention replacing the second term by 1/p1 is kept behind a flag for
-comparison and is rejected when it produces an exponent below 1.
+to carry the interpolated exponent 1/p = (1-t)/p0 + t/p1.
 """
 
 from __future__ import annotations
@@ -29,32 +27,10 @@ import numpy as np
 
 from .bodies import scale
 from .fields import NormField, lp_norm
-from .grids import DyadicCube, DyadicDomain, dyadic_cube_family
+from .grids import DyadicCube, DyadicDomain, _ancestor_ids, dyadic_cube_family
 from .matrices import MatrixField, mean_stack, operator_norms
 from .operators import _cell_overlaps, aligned_cells
 from .seminorms import DegenerateSeminormError, DualNorm, MatrixNorm, Seminorm, direction_grid
-
-
-@dataclass(frozen=True)
-class ApReport:
-    """Characteristic of one weight field over one cube family."""
-
-    p: float
-    constant: float
-    per_cube: tuple
-    grid_level: int
-    family: str
-    fixture: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "constant": self.constant,
-            "grid_level": self.grid_level,
-            "family": self.family,
-            "fixture": self.fixture,
-            "per_cube": [[key, value] for key, value in self.per_cube],
-        }
 
 
 def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.ndarray:
@@ -68,33 +44,30 @@ def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.nda
     return P
 
 
-def _family(domain: DyadicDomain, cubes) -> list[DyadicCube]:
-    return dyadic_cube_family(domain) if cubes is None else list(cubes)
+def ap_matrix_constant(W: MatrixField, p: float, *, chunk: int = 128) -> float:
+    """Matrix weight characteristic for p > 1 over the aligned dyadic cubes.
 
-
-def ap_matrix_constant(W: MatrixField, p: float, cubes=None, *,
-                       fixture: str | None = None, chunk: int = 128) -> ApReport:
-    """Matrix weight characteristic for p > 1 over an aligned cube family."""
+    Per level, a stable sort of the cells by their ancestor cube lists
+    each cube's cells in row-major order, so every cube's block of the
+    pairwise matrix is one slice of a (cubes, size, size) gather.  The
+    monotone outer root is taken once, on the largest cube mean, by the
+    scalar pow: numpy's vectorized pow can differ from it in the last bit.
+    """
     p = float(p)
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be finite and > 1, got {p}")
     pprime = p / (p - 1.0)
-    domain = W.domain
-    cubes = _family(domain, cubes)
+    k, n = W.domain.level, W.domain.n
     stack = W.stack()
     inverse = np.linalg.inv(stack)
     powers = _pairwise_opnorms(stack, inverse, chunk) ** pprime
-    per = []
-    for cube in cubes:
-        idx = aligned_cells(domain, cube)
-        block = powers[np.ix_(idx, idx)]
-        inner = block.mean(axis=1) ** (p / pprime)
-        per.append((cube.key(), float(inner.mean() ** (1.0 / p))))
-    constant = max(v for _, v in per)
-    return ApReport(p=p, constant=constant, per_cube=tuple(per),
-                    grid_level=domain.level,
-                    family=f"aligned dyadic cubes, {len(cubes)} total",
-                    fixture=fixture)
+    top = 0.0
+    for j in range(k + 1):
+        cells = np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
+        blocks = powers[cells[:, :, None], cells[:, None, :]]
+        inner = blocks.mean(axis=2) ** (p / pprime)
+        top = max(top, float(inner.mean(axis=1).max()))
+    return top ** (1.0 / p)
 
 
 class AveragedNorm(Seminorm):
@@ -105,8 +78,6 @@ class AveragedNorm(Seminorm):
     matrix norms |A_k .| is the matrix norm |R .| with R^T R = G =
     sum_k w_k A_k^T A_k, whose dual has the closed form |R^-T .|.
     """
-
-    is_norm = True
 
     def __init__(self, members, weights, p: float):
         members = tuple(members)
@@ -173,19 +144,9 @@ class ApNormReport:
     constant: float
     threshold: float
     passed: bool
-    per_cube: tuple
-    grid_level: int
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "constant": self.constant, "threshold": self.threshold,
-            "passed": self.passed, "grid_level": self.grid_level,
-            "per_cube": [[key, value] for key, value in self.per_cube],
-        }
 
 
-def ap_norm_check(rho: NormField, p: float, cubes=None, *,
-                  directions: int | None = None,
+def ap_norm_check(rho: NormField, p: float, *, directions: int | None = None,
                   threshold: float | None = None) -> ApNormReport:
     """Measure sup over cubes and directions of the dual-average ratio.
 
@@ -202,11 +163,10 @@ def ap_norm_check(rho: NormField, p: float, cubes=None, *,
     dim = rho.dim
     if threshold is None:
         threshold = 10.0 * dim
-    cubes = _family(rho.domain, cubes)
     V = direction_grid(dim, directions)
     duals = [nm.dual() for nm in rho.norms]
-    per = []
-    for cube in cubes:
+    constant = 0.0
+    for cube in dyadic_cube_family(rho.domain):
         avg = averaged_norm_for_cube(rho, p, cube)
         weights = avg.weights
         dual_members = [duals[idx] for idx, _ in _cell_overlaps(rho.domain, cube)]
@@ -217,44 +177,24 @@ def ap_norm_check(rho: NormField, p: float, cubes=None, *,
             raise DegenerateSeminormError(
                 f"averaged norm on cube {cube.key()} is degenerate") from exc
         ratio = dual_avg.values(V) / denom
-        per.append((cube.key(), float(ratio.max())))
-    constant = max(v for _, v in per)
+        constant = max(constant, float(ratio.max()))
     return ApNormReport(p=p, constant=constant, threshold=float(threshold),
-                        passed=constant <= threshold, per_cube=tuple(per),
-                        grid_level=rho.domain.level)
+                        passed=constant <= threshold)
 
 
-def interpolated_exponent(p0: float, p1: float, t: float,
-                          convention: str = "riesz_thorin") -> float:
-    """Exponent produced by mixing p0 and p1 with weight t.
-
-    "riesz_thorin": 1/p = (1-t)/p0 + t/p1.  "printed": 1/p = (1-t)/p0
-    + 1/p1, kept for comparison; it can fall below 1 and is then
-    rejected.
-    """
+def interpolated_exponent(p0: float, p1: float, t: float) -> float:
+    """Exponent produced by mixing p0 and p1 with weight t:
+    1/p = (1-t)/p0 + t/p1."""
     for name, v in (("p0", p0), ("p1", p1)):
         if not (math.isfinite(v) and v >= 1.0):
             raise ValueError(f"{name} must be finite and >= 1, got {v}")
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie strictly in (0, 1), got {t}")
-    if convention == "riesz_thorin":
-        r = (1.0 - t) / p0 + t / p1
-    elif convention == "printed":
-        r = (1.0 - t) / p0 + 1.0 / p1
-    else:
-        raise ValueError(f"unknown exponent convention {convention!r}")
-    p = 1.0 / r
-    if p < 1.0 - 1e-12:
-        raise ValueError(
-            f"convention {convention!r} gives exponent {p:.6g} below 1 "
-            f"for p0={p0}, p1={p1}, t={t}"
-        )
-    return max(p, 1.0)
+    return max(1.0 / ((1.0 - t) / p0 + t / p1), 1.0)
 
 
 def reverse_factorization(W0: MatrixField, W1: MatrixField, t: float,
-                          p0: float, p1: float, *,
-                          convention: str = "riesz_thorin") -> MatrixField:
+                          p0: float, p1: float) -> MatrixField:
     """Cellwise square root of the weighted geometric mean of squares.
 
     p0 and p1 are the exponent classes of the inputs; they fix the
@@ -268,7 +208,7 @@ def reverse_factorization(W0: MatrixField, W1: MatrixField, t: float,
         raise ValueError("weight fields live on different grids")
     if W0.dim != W1.dim:
         raise ValueError("weight fields have different matrix dimensions")
-    interpolated_exponent(p0, p1, t, convention)
+    interpolated_exponent(p0, p1, t)
     A, B = W0.spd, W1.spd
     moved = ~(A.arr == B.arr).all(axis=(1, 2))
     if not moved.any():
@@ -388,21 +328,23 @@ def fixture_weights(kind: str, params: dict | None, grid: DyadicDomain) -> Matri
     return field
 
 
-def classical_ap_constant(weight_values, domain: DyadicDomain, p: float,
-                          cubes=None) -> float:
-    """Classical scalar weight constant over the same cube family.
+def classical_ap_constant(weight_values, domain: DyadicDomain, p: float) -> float:
+    """Classical scalar weight constant over the aligned dyadic cubes.
 
     sup_Q (avg w) * (avg w^(1/(1-p)))^(p-1), computed directly from the
-    cell values as an oracle for the one-dimensional matrix reduction.
+    cell values, cube by cube, as an oracle for the one-dimensional matrix
+    reduction.
     """
     p = float(p)
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be finite and > 1, got {p}")
     w = np.asarray(weight_values, dtype=float)
+    if w.shape != (domain.num_cells,):
+        raise ValueError(f"expected {domain.num_cells} cell values, got shape {w.shape}")
     if (w <= 0.0).any():
         raise ValueError("weights must be positive")
     best = 0.0
-    for cube in _family(domain, cubes):
+    for cube in dyadic_cube_family(domain):
         idx = aligned_cells(domain, cube)
         part = w[idx]
         best = max(best, part.mean() * (part ** (1.0 / (1.0 - p))).mean() ** (p - 1.0))

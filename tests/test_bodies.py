@@ -121,14 +121,16 @@ def test_gauge_unbounded_direction():
         gauge(segment, np.array([0.0, 1.0]))
 
 
-def test_generator_cap_keeps_inner_approximation():
+def test_large_body_keeps_every_vertex():
+    # 600 points on the unit circle: each of them and its negative is a vertex
     rng = np.random.default_rng(9)
-    pts = rng.standard_normal((600, 2))
+    th = np.sort(rng.uniform(0.0, np.pi, 600))
+    pts = np.column_stack([np.cos(th), np.sin(th)])
     big = ConvexBody(2, pts)
-    exact = np.abs(pts @ DIRS2.T).max(axis=0)
-    got = support_batch(big, DIRS2)
-    assert np.all(got <= exact + 1e-12)
-    assert np.abs(got - exact).max() < 1e-9  # cap keeps every extreme direction here
+    assert big.num_generators == 600
+    U = direction_grid(2, 4096)
+    exact = np.abs(pts @ U.T).max(axis=0)
+    np.testing.assert_allclose(support_batch(big, U), exact, rtol=1e-15, atol=0.0)
 
 
 def test_body_serialization_shape():

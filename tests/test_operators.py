@@ -304,8 +304,7 @@ def test_scalar_maximal_rejects_bad_input():
         scalar_frac_maximal(np.ones(3), domain, 0.0)
 
 
-# n = 2 stays at level 3: no cube integral there reaches the generator cap
-ARRAY_CASES = [(1, 1, 5), (1, 2, 5), (2, 1, 3), (2, 2, 3)]
+ARRAY_CASES = [(1, 1, 5), (1, 2, 5), (2, 1, 3), (2, 2, 3), (2, 2, 4)]
 
 
 @pytest.mark.parametrize("n,d,level", ARRAY_CASES, ids=lambda v: str(v))

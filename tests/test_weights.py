@@ -11,6 +11,7 @@ from setlp.seminorms import EuclideanNorm, MatrixNorm, dual_values
 from setlp.weights import (
     FIXTURE_CONDITION_CAP,
     AveragedNorm,
+    _pairwise_opnorms,
     ap_matrix_constant,
     ap_norm_check,
     averaged_norm_for_cube,
@@ -29,26 +30,59 @@ def scalar_field(domain, values):
 def test_identity_weight_has_unit_constant():
     domain = DyadicDomain(2, 2)
     W = fixture_weights("identity", {"dim": 2}, domain)
-    assert ap_matrix_constant(W, 2.0).constant == 1.0
+    assert ap_matrix_constant(W, 2.0) == 1.0
 
 
 def test_constant_weight_has_unit_constant():
     domain = DyadicDomain(1, 3)
     W = fixture_weights("constant", {"matrix": [[2.0, 0.5], [0.5, 1.0]]}, domain)
-    assert ap_matrix_constant(W, 3.0).constant == pytest.approx(1.0, abs=1e-14)
+    assert ap_matrix_constant(W, 3.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scalar_reduction_matches_classical_ap():
     # for 1x1 weights W = [[w]] the matrix constant equals the classical
-    # constant of the scalar weight w^p, to the 1/p power
+    # constant of the scalar weight w^p, to the 1/p power; in the plane the
+    # row-major cell order differs from the cube order
     rng = np.random.default_rng(31)
-    domain = DyadicDomain(1, 4)
-    w = np.exp(rng.normal(0.0, 0.6, domain.num_cells))
-    W = scalar_field(domain, w)
-    for p in (1.5, 2.0, 3.0):
-        got = ap_matrix_constant(W, p).constant
-        want = classical_ap_constant(w ** p, domain, p) ** (1.0 / p)
-        assert got == pytest.approx(want, rel=1e-12)
+    for domain in (DyadicDomain(1, 4), DyadicDomain(2, 3)):
+        w = np.exp(rng.normal(0.0, 0.6, domain.num_cells))
+        W = scalar_field(domain, w)
+        for p in (1.5, 2.0, 3.0):
+            got = ap_matrix_constant(W, p)
+            want = classical_ap_constant(w ** p, domain, p) ** (1.0 / p)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_classical_constant_rejects_a_wrong_number_of_values():
+    domain = DyadicDomain(1, 2)
+    w = np.arange(1.0, 7.0)
+    for bad in (w, w[:3], w[:4].reshape(2, 2)):
+        with pytest.raises(ValueError, match="4 cell values"):
+            classical_ap_constant(bad, domain, 2.0)
+    assert classical_ap_constant(w[:4], domain, 2.0) >= 1.0
+
+
+def _reference_ap_constant(W, p):
+    """The matrix characteristic cube by cube, one np.ix_ block per cube."""
+    pprime = p / (p - 1.0)
+    stack = W.stack()
+    powers = _pairwise_opnorms(stack, np.linalg.inv(stack), 128) ** pprime
+    best = 0.0
+    for cube in dyadic_cube_family(W.domain):
+        idx = aligned_cells(W.domain, cube)
+        inner = powers[np.ix_(idx, idx)].mean(axis=1) ** (p / pprime)
+        best = max(best, float(inner.mean() ** (1.0 / p)))
+    return best
+
+
+@pytest.mark.parametrize("name,n,level", [("rotated", 1, 8), ("random", 1, 8),
+                                          ("rotated", 2, 4), ("random", 2, 4)])
+def test_ap_constant_is_bitwise_the_per_cube_loop(name, n, level):
+    from setlp.harness import _fixture_pair
+
+    for W in _fixture_pair(name, DyadicDomain(n, level)):
+        for p in (1.5, 2.0, 3.0):
+            assert ap_matrix_constant(W, p) == _reference_ap_constant(W, p)
 
 
 def test_matrix_constants_are_at_least_one():
@@ -59,17 +93,16 @@ def test_matrix_constants_are_at_least_one():
         ("scalar_profile", {"amplitude": 1.0}),
     ):
         W = fixture_weights(kind, params, domain)
-        assert ap_matrix_constant(W, 2.0).constant >= 1.0 - 1e-12
+        assert ap_matrix_constant(W, 2.0) >= 1.0 - 1e-12
 
 
 def test_ap_report_shape():
     domain = DyadicDomain(1, 2)
     W = fixture_weights("scalar_two_valued", {"low": 1.0, "high": 3.0}, domain)
-    rep = ap_matrix_constant(W, 2.0, fixture="two_scales")
-    d = rep.to_dict()
-    assert d["fixture"] == "two_scales"
-    assert d["grid_level"] == 2
-    assert rep.constant == max(v for _, v in rep.per_cube)
+    got = ap_matrix_constant(W, 2.0)
+    assert type(got) is float
+    # the worst cube is the root, where w = 1, 1, 3, 3: <w^2> <w^-2> = 5 * 5/9
+    assert got == pytest.approx(math.sqrt(25.0 / 9.0), rel=1e-14)
 
 
 def test_fixture_rejects_unused_params():
@@ -189,16 +222,10 @@ def test_reverse_factorization_validation():
 def test_interpolated_exponent_oracles():
     assert interpolated_exponent(2.0, 4.0, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-14)
     assert interpolated_exponent(2.0, 2.0, 0.7) == pytest.approx(2.0, rel=1e-14)
-    # the alternate printed convention differs and can dip below 1
-    assert interpolated_exponent(2.0, 2.0, 0.5, "printed") == pytest.approx(4.0 / 3.0)
-    with pytest.raises(ValueError, match="below 1"):
-        interpolated_exponent(1.2, 1.2, 0.5, "printed")
     with pytest.raises(ValueError):
         interpolated_exponent(0.5, 2.0, 0.5)
     with pytest.raises(ValueError):
         interpolated_exponent(2.0, 2.0, 1.0)
-    with pytest.raises(ValueError, match="convention"):
-        interpolated_exponent(2.0, 2.0, 0.5, "other")
 
 
 def test_averaged_norm_power_mean_oracle():
