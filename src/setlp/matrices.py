@@ -222,17 +222,3 @@ class MatrixField:
     def stack(self) -> np.ndarray:
         """All cell matrices as one read-only array, shape (num_cells, d, d)."""
         return self.spd.arr
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.domain.n,
-            "grid_level": self.domain.level,
-            "cells": {str(i): {"dim": self.dim, "entries": [float(x) for x in m.ravel()]}
-                      for i, m in enumerate(self.spd.arr)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MatrixField":
-        domain = DyadicDomain(int(data.get("n", 1)), int(data["grid_level"]))
-        cells = [data["cells"][str(i)] for i in range(domain.num_cells)]
-        return cls(domain, [np.reshape(c["entries"], (int(c["dim"]),) * 2) for c in cells])

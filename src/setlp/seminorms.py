@@ -270,9 +270,6 @@ class Seminorm(HomogeneousFunctional):
             return 0.0
         return float(np.max(self.values(body.generators)))
 
-    def dual(self) -> "DualNorm":
-        return DualNorm(self)
-
 
 class EuclideanNorm(Seminorm):
     def __init__(self, dim: int):

@@ -1,4 +1,4 @@
-"""Matrix weight characteristics, averaged norms, and reverse factorization.
+"""Matrix weight characteristics, cube averaging norms, and reverse factorization.
 
 The matrix characteristic of an SPD field W over a cube family is
 
@@ -6,31 +6,40 @@ The matrix characteristic of an SPD field W over a cube family is
 
 Scalar one-dimensional fields reduce to the classical weight constant
 (the p-th root of the classical A_p product for the same cubes), which
-the module also computes directly as an independent oracle.  The
-averaging characterization is measured through the sup over aligned
-cubes of the weighted norm ratio of the cube average operator.
+the module also computes directly as an independent oracle.  The cube
+average A_Q has the exact norm
+
+    N_Q(W) = || <W^2>_Q^(1/2) <W^-2>_Q^(1/2) ||_op
+
+on L^2(|W .|) (Treil and Volberg), which averaging_norms reads off
+block sums of W^2 and W^-2 on every aligned cube; averaging_sup_ratio
+samples the averaging operators on set-valued fields in any norm field.
 
 Weight fields are read as their validated cells × d × d stacks, with no
 per-cell matrix object; the fixtures build those stacks directly.
 Reverse factorization combines two SPD fields cellwise through the
 weighted geometric mean of their squares, in one batch over the stack
-with every intermediate validated; the induced norm is expected
-to carry the interpolated exponent 1/p = (1-t)/p0 + t/p1.
+with every intermediate validated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import scale
 from .fields import NormField, lp_norm
-from .grids import DyadicCube, DyadicDomain, _ancestor_ids, dyadic_cube_family
+from .grids import DyadicDomain, _ancestor_ids, dyadic_cube_family
 from .matrices import MatrixField, mean_stack, operator_norms
-from .operators import _cell_overlaps, aligned_cells
-from .seminorms import DegenerateSeminormError, DualNorm, MatrixNorm, Seminorm, direction_grid
+from .operators import aligned_cells
+
+
+def _cube_cells(n: int, k: int, j: int) -> np.ndarray:
+    """Cells of every aligned level-j cube of a level-k grid, one row per
+    cube in row-major cube order, each row in row-major cell order: a
+    stable sort of the cells by their ancestor cube."""
+    return np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
 
 
 def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.ndarray:
@@ -47,9 +56,8 @@ def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.nda
 def ap_matrix_constant(W: MatrixField, p: float, *, chunk: int = 128) -> float:
     """Matrix weight characteristic for p > 1 over the aligned dyadic cubes.
 
-    Per level, a stable sort of the cells by their ancestor cube lists
-    each cube's cells in row-major order, so every cube's block of the
-    pairwise matrix is one slice of a (cubes, size, size) gather.  The
+    Per level, _cube_cells lists each cube's cells, so every cube's block
+    of the pairwise matrix is one slice of a (cubes, size, size) gather.  The
     monotone outer root is taken once, on the largest cube mean, by the
     scalar pow: numpy's vectorized pow can differ from it in the last bit.
     """
@@ -63,152 +71,49 @@ def ap_matrix_constant(W: MatrixField, p: float, *, chunk: int = 128) -> float:
     powers = _pairwise_opnorms(stack, inverse, chunk) ** pprime
     top = 0.0
     for j in range(k + 1):
-        cells = np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
+        cells = _cube_cells(n, k, j)
         blocks = powers[cells[:, :, None], cells[:, None, :]]
         inner = blocks.mean(axis=2) ** (p / pprime)
         top = max(top, float(inner.mean(axis=1).max()))
     return top ** (1.0 / p)
 
 
-class AveragedNorm(Seminorm):
-    """Weighted p-power mean of finitely many norms (p = inf takes a max).
+def averaging_norms(W: MatrixField) -> list:
+    """N_Q(W) on every aligned dyadic cube: one array per level j, over
+    the 2^(jn) cubes of that level in row-major order.
 
-    A power mean of norms with p >= 1 obeys the triangle inequality, so
-    the generic grid dual applies to it directly.  The p = 2 mean of
-    matrix norms |A_k .| is the matrix norm |R .| with R^T R = G =
-    sum_k w_k A_k^T A_k, whose dual has the closed form |R^-T .|.
+    N_Q^2 is the top eigenvalue of <W^2>_Q <W^-2>_Q, read as that of the
+    symmetric L^T <W^-2>_Q L with L the Cholesky factor of <W^2>_Q.  Both
+    squares come from the stack's eigendecomposition.
     """
-
-    def __init__(self, members, weights, p: float):
-        members = tuple(members)
-        if not members:
-            raise ValueError("averaged norm needs at least one member")
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(members),) or (weights <= 0.0).any():
-            raise ValueError("weights must be positive, one per member")
-        total = weights.sum()
-        if not np.isclose(total, 1.0, rtol=0.0, atol=1e-12):
-            weights = weights / total
-        if p != math.inf and not p >= 1.0:
-            raise ValueError(f"power mean exponent must be >= 1 or inf, got {p}")
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
-            raise ValueError("member norms must share one dimension")
-        self.members = members
-        self.weights = weights
-        self.p = float(p)
-        self.dim = members[0].dim
-
-    def values(self, V):
-        V = np.asarray(V, dtype=float)
-        single = V.ndim == 1
-        if single:
-            V = V[None, :]
-        stack = np.stack([m.values(V) for m in self.members])
-        if self.p == math.inf:
-            out = stack.max(axis=0)
-        else:
-            out = ((self.weights[:, None] * stack ** self.p).sum(axis=0)) ** (1.0 / self.p)
-        return out[0] if single else out
-
-    def dual(self, *, directions: int | None = None) -> DualNorm:
-        if self.p == 2.0 and all(isinstance(m, MatrixNorm) for m in self.members):
-            mats = np.array([m.matrix for m in self.members])
-            gram = np.einsum("k,kji,kjl->il", self.weights, mats, mats)
-            try:
-                return DualNorm(MatrixNorm(np.linalg.cholesky(gram).T))
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateSeminormError("averaged matrix norm is singular") from exc
-        return DualNorm(self, directions=directions)
-
-    def __repr__(self):
-        return f"AveragedNorm(dim={self.dim}, members={len(self.members)}, p={self.p})"
+    k, n = W.domain.level, W.domain.n
+    Q, w = W.spd.Q, W.spd.w
+    Qt = np.swapaxes(Q, 1, 2)
+    squares, inverse_squares = ((Q * w[:, None, :] ** s) @ Qt for s in (2.0, -2.0))
+    out = []
+    for j in range(k + 1):
+        cells = _cube_cells(n, k, j)
+        L = np.linalg.cholesky(squares[cells].mean(axis=1))
+        inner = np.swapaxes(L, 1, 2) @ inverse_squares[cells].mean(axis=1) @ L
+        out.append(np.sqrt(np.linalg.eigvalsh(inner)[:, -1]))
+    return out
 
 
-def averaged_norm_for_cube(rho: NormField, p: float, cube: DyadicCube) -> AveragedNorm:
-    """Power mean of the per-cell norms over one cube, overlap-weighted."""
-    members, weights = [], []
-    for idx, w in _cell_overlaps(rho.domain, cube):
-        members.append(rho.norms[idx])
-        weights.append(float(w))
-    if not members:
-        raise ValueError("cube does not meet the norm field domain")
-    return AveragedNorm(members, weights, p)
+def reverse_factorization(W0: MatrixField, W1: MatrixField, t: float) -> MatrixField:
+    """Cellwise square root of the weighted geometric mean of squares,
+    t strictly in (0, 1).
 
-
-@dataclass(frozen=True)
-class ApNormReport:
-    """Measured norm-function characteristic against a pass threshold."""
-
-    p: float
-    constant: float
-    threshold: float
-    passed: bool
-
-
-def ap_norm_check(rho: NormField, p: float, *, directions: int | None = None,
-                  threshold: float | None = None) -> ApNormReport:
-    """Measure sup over cubes and directions of the dual-average ratio.
-
-    For each cube the p'-power mean of the cellwise dual norms is
-    compared against the dual of the p-power mean of the norms, in closed
-    form for matrix norms at p = 2 and by the grid dual else.  The measured
-    supremum is a finiteness certificate, not a sharp constant; the
-    threshold (default 10 * dim) only decides the verdict flag.
-    """
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    pprime = math.inf if p == 1.0 else p / (p - 1.0)
-    dim = rho.dim
-    if threshold is None:
-        threshold = 10.0 * dim
-    V = direction_grid(dim, directions)
-    duals = [nm.dual() for nm in rho.norms]
-    constant = 0.0
-    for cube in dyadic_cube_family(rho.domain):
-        avg = averaged_norm_for_cube(rho, p, cube)
-        weights = avg.weights
-        dual_members = [duals[idx] for idx, _ in _cell_overlaps(rho.domain, cube)]
-        dual_avg = AveragedNorm(dual_members, weights, pprime)
-        try:
-            denom = avg.dual(directions=directions).values(V)
-        except DegenerateSeminormError as exc:
-            raise DegenerateSeminormError(
-                f"averaged norm on cube {cube.key()} is degenerate") from exc
-        ratio = dual_avg.values(V) / denom
-        constant = max(constant, float(ratio.max()))
-    return ApNormReport(p=p, constant=constant, threshold=float(threshold),
-                        passed=constant <= threshold)
-
-
-def interpolated_exponent(p0: float, p1: float, t: float) -> float:
-    """Exponent produced by mixing p0 and p1 with weight t:
-    1/p = (1-t)/p0 + t/p1."""
-    for name, v in (("p0", p0), ("p1", p1)):
-        if not (math.isfinite(v) and v >= 1.0):
-            raise ValueError(f"{name} must be finite and >= 1, got {v}")
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie strictly in (0, 1), got {t}")
-    return max(1.0 / ((1.0 - t) / p0 + t / p1), 1.0)
-
-
-def reverse_factorization(W0: MatrixField, W1: MatrixField, t: float,
-                          p0: float, p1: float) -> MatrixField:
-    """Cellwise square root of the weighted geometric mean of squares.
-
-    p0 and p1 are the exponent classes of the inputs; they fix the
-    target exponent via interpolated_exponent but do not enter the
-    matrix construction.  Cells with bitwise-equal inputs are passed
-    through unchanged (the mean of a matrix with itself is itself), so
-    identical fixtures keep identical characteristics, and W0 itself comes
-    back when every cell is equal.  The other cells run as one batch.
+    Cells with bitwise-equal inputs are passed through unchanged (the
+    mean of a matrix with itself is itself), so identical fixtures keep
+    identical characteristics, and W0 itself comes back when every cell
+    is equal.  The other cells run as one batch.
     """
     if W0.domain != W1.domain:
         raise ValueError("weight fields live on different grids")
     if W0.dim != W1.dim:
         raise ValueError("weight fields have different matrix dimensions")
-    interpolated_exponent(p0, p1, t)
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t must lie strictly in (0, 1), got {t}")
     A, B = W0.spd, W1.spd
     moved = ~(A.arr == B.arr).all(axis=(1, 2))
     if not moved.any():

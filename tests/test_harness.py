@@ -21,6 +21,7 @@ from setlp.harness import (
     _comparability_block,
     _endpoint_trial,
     _failure_fixture,
+    _fixture_pair,
     _jsonable,
     _marcinkiewicz_trial,
     _run_trials,
@@ -33,7 +34,14 @@ from setlp.harness import (
     thread_count,
     trial_field,
 )
-from setlp.matrices import SpdMatrix, gm_double_dual_norm, random_spd_matrix
+from setlp.matrices import (
+    MatrixField,
+    SpdMatrix,
+    gm_double_dual_norm,
+    random_spd_matrix,
+    spd_stack,
+)
+from setlp.weights import averaging_norms, reverse_factorization
 
 
 def test_config_validation():
@@ -165,8 +173,57 @@ def test_riesz_thorin_small_run():
     names = {r["fixture"] for r in rep.records}
     assert names == {"euclidean", "rotated"}
     for r in rep.records:
+        assert len(r["nq"]) == len(r["nq_ratio"]) == len(r["nq_worst"]) == len(r["levels"])
         if r["fixture"] == "euclidean":
             assert max(r["sup_ratios"]) <= 1.0 + 1e-9
+            # no cube varies: N_Q is 1 and there is no informative ratio
+            assert r["nq"] == [1.0] * len(r["levels"])
+            assert r["nq_ratio"] == r["nq_worst"] == [None] * len(r["levels"])
+        else:
+            assert all(ratio < 1.0 for ratio in r["nq_ratio"])
+
+
+@pytest.mark.parametrize("name", ["two_scales", "rotated", "random"])
+def test_nq_interpolates_on_every_cube(name):
+    # N_Q(W_t) <= N_Q(W0)^(1-t) N_Q(W1)^t at the riesz-thorin levels of
+    # seeds 7 and 13 (the fixtures do not depend on the seed) and deeper
+    for level in (3, 4, 5, 7):
+        mf0, mf1 = _fixture_pair(name, DyadicDomain(1, level))
+        for t in (0.25, 0.5, 0.75):
+            nq0, nq1, nqt = (averaging_norms(W)
+                             for W in (mf0, mf1, reverse_factorization(mf0, mf1, t)))
+            for a, b, c in zip(nq0, nq1, nqt):
+                assert (c <= a ** (1.0 - t) * b ** t * (1.0 + 1e-12)).all()
+
+
+def test_nq_worst_names_the_cube_of_the_worst_ratio():
+    config = ExperimentConfig(seed=7, level=4, trials=2, directions=60,
+                              fixtures=("random",))
+    record = run_riesz_thorin(config).records[0]
+    t = record["t"]
+    for level, ratio, (j, i) in zip(record["levels"], record["nq_ratio"], record["nq_worst"]):
+        mf0, mf1 = _fixture_pair("random", DyadicDomain(1, level))
+        nq0, nq1, nqt = (averaging_norms(W)
+                         for W in (mf0, mf1, reverse_factorization(mf0, mf1, t)))
+        assert ratio == nqt[j][i] / (nq0[j][i] ** (1.0 - t) * nq1[j][i] ** t)
+        # every cube of the random pair varies below the single cells
+        assert ratio == max(float((c / (a ** (1.0 - t) * b ** t)).max())
+                            for a, b, c in zip(nq0[:-1], nq1[:-1], nqt[:-1]))
+
+
+def _arithmetic_mean(W0, W1, t):
+    """W_t^2 = (1-t) W0^2 + t W1^2: the arithmetic in place of the geometric mean."""
+    squares = (1.0 - t) * W0.spd.power(2.0).arr + t * W1.spd.power(2.0).arr
+    return MatrixField(W0.domain, spd_stack(squares).power(0.5))
+
+
+def test_riesz_thorin_fails_on_the_arithmetic_mean(monkeypatch):
+    monkeypatch.setattr("setlp.harness.reverse_factorization", _arithmetic_mean)
+    rep = run_riesz_thorin(ExperimentConfig(seed=7))
+    assert not rep.passed
+    failed = [r for r in rep.records if not r["ok"]]
+    assert [r["fixture"] for r in failed] == ["random"]
+    assert max(failed[0]["nq_ratio"]) > 1.0 + 1e-9
 
 
 def test_riesz_thorin_keeps_one_record_per_fixture_position():

@@ -5,20 +5,17 @@ import pytest
 
 from setlp.fields import NormField, lp_norm, random_simple_field
 from setlp.grids import DyadicDomain, dyadic_cube_family
-from setlp.matrices import MatrixField, SpdMatrix, random_spd_matrix
+from setlp.matrices import MatrixField, SpdMatrix
 from setlp.operators import aligned_cells, cube_integral_tree, frac_average
-from setlp.seminorms import EuclideanNorm, MatrixNorm, dual_values
+from setlp.seminorms import DualNorm, MatrixNorm, direction_grid
 from setlp.weights import (
     FIXTURE_CONDITION_CAP,
-    AveragedNorm,
     _pairwise_opnorms,
     ap_matrix_constant,
-    ap_norm_check,
-    averaged_norm_for_cube,
+    averaging_norms,
     averaging_sup_ratio,
     classical_ap_constant,
     fixture_weights,
-    interpolated_exponent,
     reverse_factorization,
 )
 
@@ -143,8 +140,7 @@ def test_reverse_factorization_scalar_oracle():
     a = np.exp(rng.normal(0.0, 0.4, 8))
     b = np.exp(rng.normal(0.0, 0.4, 8))
     for t in (0.25, 0.5, 0.8):
-        got = reverse_factorization(scalar_field(domain, a), scalar_field(domain, b),
-                                    t, 2.0, 2.0)
+        got = reverse_factorization(scalar_field(domain, a), scalar_field(domain, b), t)
         vals = np.array([c.arr[0, 0] for c in got.cells])
         assert np.abs(vals - a ** (1.0 - t) * b ** t).max() < 1e-13
 
@@ -152,7 +148,7 @@ def test_reverse_factorization_scalar_oracle():
 def test_reverse_factorization_passes_equal_cells_through():
     domain = DyadicDomain(1, 2)
     W = fixture_weights("rotated_diag", {"spread": 0.5}, domain)
-    got = reverse_factorization(W, W, 0.3, 2.0, 4.0)
+    got = reverse_factorization(W, W, 0.3)
     for a, b in zip(got.cells, W.cells):
         assert a is b
 
@@ -190,7 +186,7 @@ def _oracle_pairs():
 @pytest.mark.parametrize("t", [0.3, 0.5])
 def test_batched_reverse_factorization_is_bitwise_the_per_cell_formula(t):
     for W0, W1 in _oracle_pairs():
-        got = reverse_factorization(W0, W1, t, 2.0, 2.0).stack()
+        got = reverse_factorization(W0, W1, t).stack()
         want = np.array([_factorization_oracle(a, b, t)
                          for a, b in zip(W0.stack(), W1.stack())])
         assert got.tobytes() == want.tobytes()
@@ -202,9 +198,9 @@ def test_reverse_factorization_keeps_the_squared_condition_guard():
     W0 = MatrixField(domain, [np.diag([1.0, 2e6]), np.eye(2)])
     W1 = MatrixField(domain, [np.eye(2), np.eye(2)])
     with pytest.raises(ValueError, match="condition"):
-        reverse_factorization(W0, W1, 0.5, 2.0, 2.0)
+        reverse_factorization(W0, W1, 0.5)
     # the same cell passes through when both fields hold it
-    assert reverse_factorization(W0, W0, 0.5, 2.0, 2.0) is W0
+    assert reverse_factorization(W0, W0, 0.5) is W0
 
 
 def test_reverse_factorization_validation():
@@ -213,75 +209,13 @@ def test_reverse_factorization_validation():
     W = fixture_weights("identity", {"dim": 2}, d1)
     V = fixture_weights("identity", {"dim": 2}, d2)
     with pytest.raises(ValueError, match="different grids"):
-        reverse_factorization(W, V, 0.5, 2.0, 2.0)
+        reverse_factorization(W, V, 0.5)
     U = fixture_weights("identity", {"dim": 1}, d1)
     with pytest.raises(ValueError, match="matrix dimensions"):
-        reverse_factorization(W, U, 0.5, 2.0, 2.0)
-
-
-def test_interpolated_exponent_oracles():
-    assert interpolated_exponent(2.0, 4.0, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-14)
-    assert interpolated_exponent(2.0, 2.0, 0.7) == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        interpolated_exponent(0.5, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        interpolated_exponent(2.0, 2.0, 1.0)
-
-
-def test_averaged_norm_power_mean_oracle():
-    n1 = MatrixNorm(np.diag([2.0, 1.0]))
-    n2 = EuclideanNorm(2)
-    v = np.array([1.0, 1.0])
-    a, b = n1.value(v), n2.value(v)
-    for p in (1.0, 2.0, 3.0):
-        avg = AveragedNorm([n1, n2], [0.25, 0.75], p)
-        want = (0.25 * a ** p + 0.75 * b ** p) ** (1.0 / p)
-        assert avg.value(v) == pytest.approx(want, rel=1e-14)
-    top = AveragedNorm([n1, n2], [0.5, 0.5], math.inf)
-    assert top.value(v) == pytest.approx(max(a, b), rel=1e-14)
-
-
-def test_averaged_norm_validation():
-    n = EuclideanNorm(2)
-    with pytest.raises(ValueError):
-        AveragedNorm([], [], 2.0)
-    with pytest.raises(ValueError):
-        AveragedNorm([n, n], [1.0, -1.0], 2.0)
-    with pytest.raises(ValueError):
-        AveragedNorm([n, n], [1.0, 1.0], 0.5)
-    with pytest.raises(ValueError):
-        AveragedNorm([n, EuclideanNorm(3)], [1.0, 1.0], 2.0)
-
-
-def test_rho_average_of_constant_euclidean_field():
-    domain = DyadicDomain(1, 3)
-    rho = NormField.euclidean(domain, 2)
-    from setlp.grids import DyadicCube
-    from fractions import Fraction
-    cube = DyadicCube(1, (Fraction(0),), 0, (0,))
-    v = np.array([3.0, 4.0])
-    avg = averaged_norm_for_cube(rho, 2.0, cube)
-    assert avg.value(v) == pytest.approx(5.0, rel=1e-14)
-    assert avg.weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_norm_check_euclidean_is_tight():
-    domain = DyadicDomain(1, 2)
-    rho = NormField.euclidean(domain, 2)
-    rep = ap_norm_check(rho, 2.0, directions=180)
-    assert rep.passed
-    assert rep.constant == pytest.approx(1.0, abs=1e-8)
-
-
-def test_norm_check_matrix_fixture():
-    domain = DyadicDomain(1, 3)
-    W = fixture_weights("rotated_diag", {"spread": 0.7}, domain)
-    rho = NormField.from_matrix_field(W)
-    rep = ap_norm_check(rho, 2.0, directions=180)
-    assert rep.passed
-    assert rep.constant >= 1.0 - 1e-9
-    tight = ap_norm_check(rho, 2.0, directions=180, threshold=rep.constant / 2.0)
-    assert not tight.passed
+        reverse_factorization(W, U, 0.5)
+    for t in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="strictly in"):
+            reverse_factorization(W, W, t)
 
 
 def _reference_sup_ratio(rho, p, fields):
@@ -328,25 +262,117 @@ def test_averaging_sup_ratio_rejects_bad_exponents():
             averaging_sup_ratio(rho, p, samples)
 
 
-def test_averaged_matrix_norm_dual_has_the_gram_closed_form():
-    rng = np.random.default_rng(12)
-    for dim in (2, 3):
-        members = [MatrixNorm(random_spd_matrix(rng, dim, spread=0.8).arr) for _ in range(4)]
-        avg = AveragedNorm(members, [0.1, 0.2, 0.3, 0.4], 2.0)
-        V = rng.standard_normal((60, dim))
-        dual = avg.dual()
-        assert isinstance(dual.base, MatrixNorm)
-        closed = dual.values(V)
-        grid = dual_values(avg.values, dim, V, directions=1440)
-        assert np.abs(closed / grid - 1.0).max() < 1e-12
-
-
 def test_norm_check_on_the_interpolated_rotated_weight():
     # the `norm_field` value of reverse-factorization's side-by-side at seed 7
     from setlp.harness import ExperimentConfig, _fixture_pair
 
     config = ExperimentConfig(seed=7)
     mf0, mf1 = _fixture_pair("rotated", DyadicDomain(1, 5))
-    wbar = reverse_factorization(mf0, mf1, config.ts[len(config.ts) // 2], 2.0, 2.0)
-    rep = ap_norm_check(NormField.from_matrix_field(wbar), 2.0, directions=180)
-    assert rep.constant == pytest.approx(1.215730459058974, rel=1e-14, abs=0.0)
+    wbar = reverse_factorization(mf0, mf1, config.ts[len(config.ts) // 2])
+    got = max(float(nq.max()) for nq in averaging_norms(wbar))
+    assert got == pytest.approx(1.215730459058974, rel=1e-14, abs=0.0)
+
+
+def _cube_means(W, cube):
+    """<W^2>_Q and <W^-2>_Q on one aligned cube, each cell's square by matmul."""
+    idx = aligned_cells(W.domain, cube)
+    cells = W.stack()[idx]
+    inverse = np.linalg.inv(cells)
+    return (cells @ cells).mean(axis=0), (inverse @ inverse).mean(axis=0)
+
+
+def _sqrtm(A):
+    w, Q = np.linalg.eigh(A)
+    return (Q * np.sqrt(w)) @ Q.T
+
+
+def _per_cube(W, values):
+    """values(cube) for every aligned cube, laid out as averaging_norms is:
+    one array per level, cubes in row-major order."""
+    n = W.domain.n
+    out = [np.zeros(1 << (j * n)) for j in range(W.domain.level + 1)]
+    for cube in dyadic_cube_family(W.domain):
+        index = np.ravel_multi_index(cube.coords, (1 << cube.level,) * n)
+        out[cube.level][index] = values(cube)
+    return out
+
+
+def _reference_norms(W):
+    """N_Q cube by cube: the largest singular value of <W^2>^(1/2) <W^-2>^(1/2)."""
+    def nq(cube):
+        A, B = _cube_means(W, cube)
+        return np.linalg.svd(_sqrtm(A) @ _sqrtm(B), compute_uv=False)[0]
+    return _per_cube(W, nq)
+
+
+def _rough_weights(domain):
+    """Independent d = 3 cells with condition numbers up to e^4."""
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((domain.num_cells, 3, 3)))[0]
+    eig = np.exp(rng.uniform(-1.0, 1.0, (domain.num_cells, 1, 3)))
+    return (MatrixField(domain, (Q * eig) @ np.swapaxes(Q, 1, 2)),)
+
+
+@pytest.mark.parametrize("name,n,level", [("rotated", 1, 5), ("random", 1, 5),
+                                          ("rotated", 2, 3), ("random", 2, 3),
+                                          ("rough", 2, 3)])
+def test_averaging_norms_match_the_per_cube_singular_value(name, n, level):
+    from setlp.harness import _fixture_pair
+
+    domain = DyadicDomain(n, level)
+    for W in _rough_weights(domain) if name == "rough" else _fixture_pair(name, domain):
+        got, want = averaging_norms(W), _reference_norms(W)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        for g, w in zip(got, want):
+            assert np.abs(g / w - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scalar_averaging_norms_match_the_classical_constant(n):
+    # for 1x1 weights N_Q^2 = <w^2>_Q <w^-2>_Q, the classical A_2 product of w^2
+    domain = DyadicDomain(n, 4 if n == 1 else 3)
+    for kind, params in (("scalar_two_valued", {"low": 1.0, "high": 3.0}),
+                         ("scalar_two_valued", {"low": 2.0, "high": 1.0}),
+                         ("scalar_profile", {"amplitude": 1.0})):
+        W = fixture_weights(kind, params, domain)
+        got = max(float(nq.max()) for nq in averaging_norms(W))
+        want = classical_ap_constant(W.stack()[:, 0, 0] ** 2, domain, 2.0) ** 0.5
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_norm_check_euclidean_is_tight():
+    for domain in (DyadicDomain(1, 4), DyadicDomain(2, 3)):
+        W = fixture_weights("identity", {"dim": 2}, domain)
+        for nq in averaging_norms(W):
+            assert np.abs(nq - 1.0).max() <= 1e-15
+
+
+def test_norm_check_matrix_fixture():
+    # Cauchy-Schwarz gives N_Q >= 1; averaging the operator norms of
+    # W(x) W(y)^-1 gives N_Q <= the matrix A_2 constant
+    domain = DyadicDomain(1, 3)
+    W = fixture_weights("rotated_diag", {"spread": 0.7}, domain)
+    nqs = averaging_norms(W)
+    assert all((nq >= 1.0 - 1e-12).all() for nq in nqs)
+    top = max(float(nq.max()) for nq in nqs)
+    assert 1.0 < top <= ap_matrix_constant(W, 2.0) * (1.0 + 1e-12)
+
+
+def test_directional_ratio_stays_below_the_closed_form():
+    # sup_v |<W^-2>^(1/2) v| / |<W^2>^(-1/2) v| is N_Q; a 1440-direction
+    # grid reads it from below
+    from setlp.harness import _fixture_pair
+
+    V = direction_grid(2, 1440)
+    for W in _fixture_pair("random", DyadicDomain(1, 4)):
+        nqs = averaging_norms(W)
+
+        def ratio(cube):
+            A, B = _cube_means(W, cube)
+            top = MatrixNorm(np.linalg.cholesky(B).T).values(V)
+            bottom = DualNorm(MatrixNorm(np.linalg.cholesky(A).T)).values(V)
+            return (top / bottom).max()
+
+        for nq, grid in zip(nqs, _per_cube(W, ratio)):
+            assert (grid <= nq * (1.0 + 1e-12)).all()
+            assert (grid >= nq * (1.0 - 1e-5)).all()
