@@ -140,9 +140,9 @@ def magnitude_bound_check(field: SetField, cells=None) -> tuple[float, float]:
 class NormField:
     """A per-cell norm on the same grid as a set field.
 
-    Cells may share one constant norm or carry a matrix-induced norm from
-    an SPD matrix field; the double-dual interpolated variant pairs two
-    matrix fields with a weight t.
+    Cells may share one constant norm or each carry their own; the
+    double-dual interpolated variant pairs two matrix fields with a
+    weight t.
     """
 
     __slots__ = ("domain", "norms")
@@ -157,10 +157,6 @@ class NormField:
     @classmethod
     def euclidean(cls, domain: DyadicDomain, dim: int) -> "NormField":
         return cls(domain, [EuclideanNorm(dim)] * domain.num_cells)
-
-    @classmethod
-    def from_matrix_field(cls, mf: MatrixField) -> "NormField":
-        return cls(mf.domain, [MatrixNorm(m) for m in mf.stack()])
 
     @classmethod
     def gm_double_dual(cls, mf0: MatrixField, mf1: MatrixField, t: float,

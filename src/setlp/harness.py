@@ -6,10 +6,10 @@ The marcinkiewicz and endpoints trials need only magnitudes: |F| per cell,
 |M_alpha F|(x) = max over cubes Q containing x of vol(Q)^(alpha-1) |int_Q F|.
 They read all three off the trial field's generator array
 (fields.cell_magnitudes, operators.cube_magnitudes and maximal_magnitudes)
-and never build a ConvexBody.  The set-valued API (cube_integral_tree,
-dyadic_frac_maximal) stays the reference the tests hold these against, and
-the riesz-thorin suite uses it.  Both weight suites read the exact norm N_Q
-of every cube average off weights.averaging_norms.
+and never build a ConvexBody; nor does riesz-thorin's scan, which reads
+support rows off the same arrays (weights.averaging_sup_ratio).  The
+set-valued API stays the reference the tests hold these against.  Both
+weight suites read the exact norm N_Q of every cube off averaging_norms.
 
 Each suite returns an ExperimentReport whose per-trial records are enough to
 recompute every aggregate.  Reports serialize to canonical JSON (sorted keys,
@@ -43,7 +43,6 @@ from .grids import DyadicDomain, grid_translations, verify_nesting, verify_tilin
 from .matrices import MatrixField, gm_double_dual_norm, random_spd_matrix
 from .operators import (
     ExponentConfig,
-    cube_integral_tree,
     cube_magnitudes,
     maximal_magnitudes,
     scalar_frac_maximal,
@@ -436,13 +435,9 @@ def _fixture_pair(name: str, domain: DyadicDomain) -> tuple[MatrixField, MatrixF
 
 def _averaging_samples(config: ExperimentConfig, domain: DyadicDomain,
                        dim: int, trials: int) -> list:
-    """(field, cube tree) of each riesz-thorin trial field."""
-    samples = []
-    for i in range(trials):
-        rng = _trial_rng(config.seed + 1000, i)
-        fld = trial_field(rng, domain, dim, _TRIAL_KINDS[i % len(_TRIAL_KINDS)])
-        samples.append((fld, cube_integral_tree(fld)))
-    return samples
+    """The riesz-thorin trial fields of one grid and value dimension."""
+    return [trial_field(_trial_rng(config.seed + 1000, i), domain, dim,
+                        _TRIAL_KINDS[i % len(_TRIAL_KINDS)]) for i in range(trials)]
 
 
 def _nq_interpolation(mf0: MatrixField, mf1: MatrixField, t: float) -> tuple:
@@ -482,9 +477,7 @@ def run_riesz_thorin(config: ExperimentConfig) -> ExperimentReport:
     ladder = sorted(set(ladder))
     directions = config.directions or 240
 
-    # one level at a time: its trial fields and trees serve every fixture
-    # of the same value dimension, and are dropped before the next level's
-    # are built
+    # one level at a time: its trial fields serve every fixture of their dimension
     fixture_sups = [[] for _ in config.fixtures]
     fixture_nq = [[] for _ in config.fixtures]
     fixture_endpoints = [{} for _ in config.fixtures]

@@ -126,12 +126,6 @@ def geometric_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     return SpdMatrix(mean_stack(A.spd, B.spd, t))
 
 
-def operator_norm(M) -> float:
-    """Largest singular value of a (not necessarily symmetric) matrix."""
-    M = np.asarray(getattr(M, "arr", M), dtype=float)
-    return float(np.linalg.norm(M, 2))
-
-
 def operator_norms(batch: np.ndarray) -> np.ndarray:
     """Largest singular values for a stack of matrices, shape (N, d, d)."""
     batch = np.asarray(batch, dtype=float)

@@ -391,7 +391,8 @@ class GeometricMeanDoubleDual(Seminorm):
     solve of ``_matrix_mean_duals`` above, which needs both factors to be
     matrix-induced.  With those fixed denominators the evaluator is a max
     of absolute linear functionals, hence a norm, and is bounded above by
-    the raw geometric mean pointwise.
+    the raw geometric mean pointwise.  The read-only arrays ``grid`` (the
+    u_i) and ``inner`` (the p_t*(u_i)) give it in closed form.
     """
 
     def __init__(self, p0: Seminorm, p1: Seminorm, t: float, *, directions: int | None = None):
@@ -399,25 +400,26 @@ class GeometricMeanDoubleDual(Seminorm):
         self.p0, self.p1, self.t = p0, p1, float(t)
         self.dim = p0.dim
         self.directions = directions if directions is not None else DEFAULT_DIRECTIONS[self.dim]
-        self._grid = direction_grid(self.dim, self.directions)
+        self.grid = direction_grid(self.dim, self.directions)
         if self.dim == 1:
-            self._inner = dual_values(self.mean.values, 1, self._grid)
+            self.inner = dual_values(self.mean.values, 1, self.grid)
         elif getattr(p0, "matrix", None) is None or getattr(p1, "matrix", None) is None:
             raise TypeError("a double dual in dimension >= 2 needs matrix-induced factors")
         else:
-            self._inner = _matrix_mean_duals(p0.matrix, p1.matrix, self.t, self._grid,
-                                             self.mean.values)
-        if not np.all(self._inner > 0.0):
+            self.inner = _matrix_mean_duals(p0.matrix, p1.matrix, self.t, self.grid,
+                                            self.mean.values)
+        if not np.all(self.inner > 0.0):
             raise DegenerateSeminormError("geometric mean degenerate on a grid direction")
+        self.inner.setflags(write=False)
 
     def values(self, V):
         return self._ratios(V).max(axis=1)
 
     def _ratios(self, V) -> np.ndarray:
         """|<v, u_i>| / inner[i] for every row v of V and grid direction u_i."""
-        ratios = np.atleast_2d(np.asarray(V, dtype=float)) @ self._grid.T
+        ratios = np.atleast_2d(np.asarray(V, dtype=float)) @ self.grid.T
         np.abs(ratios, out=ratios)
-        return np.divide(ratios, self._inner, out=ratios)
+        return np.divide(ratios, self.inner, out=ratios)
 
     def on_subgrid(self, directions: int) -> "GeometricMeanDoubleDual":
         """This double dual on the nested grid of ``directions`` directions.
@@ -430,8 +432,9 @@ class GeometricMeanDoubleDual(Seminorm):
         rows = self._nested_rows(directions)
         sub = copy.copy(self)
         sub.directions = directions
-        sub._grid = np.ascontiguousarray(self._grid[rows])
-        sub._inner = self._inner[rows]
+        sub.grid = np.ascontiguousarray(self.grid[rows])
+        sub.grid.setflags(write=False)
+        sub.inner = self.inner[rows]
         return sub
 
     def nested_values(self, V, counts) -> list:
@@ -447,7 +450,7 @@ class GeometricMeanDoubleDual(Seminorm):
             rows = slice(None, None, self.directions // directions)
         else:
             rows = slice(None, directions)
-        if not np.array_equal(direction_grid(self.dim, directions), self._grid[rows]):
+        if not np.array_equal(direction_grid(self.dim, directions), self.grid[rows]):
             raise ValueError(f"the {directions}-direction grid is not nested in "
                              f"the {self.directions}-direction grid")
         return rows

@@ -13,7 +13,7 @@ average A_Q has the exact norm
 
 on L^2(|W .|) (Treil and Volberg), which averaging_norms reads off
 block sums of W^2 and W^-2 on every aligned cube; averaging_sup_ratio
-samples the averaging operators on set-valued fields in any norm field.
+samples the averaging operators on set-valued fields from support rows.
 
 Weight fields are read as their validated cells × d × d stacks, with no
 per-cell matrix object; the fixtures build those stacks directly.
@@ -28,11 +28,11 @@ import math
 
 import numpy as np
 
-from .bodies import scale
-from .fields import NormField, lp_norm
+from .fields import NormField, values_lp_norm
 from .grids import DyadicDomain, _ancestor_ids, dyadic_cube_family
 from .matrices import MatrixField, mean_stack, operator_norms
 from .operators import aligned_cells
+from .seminorms import GeometricMeanDoubleDual
 
 
 def _cube_cells(n: int, k: int, j: int) -> np.ndarray:
@@ -256,28 +256,44 @@ def classical_ap_constant(weight_values, domain: DyadicDomain, p: float) -> floa
     return best
 
 
-def averaging_sup_ratio(rho: NormField, p: float, samples) -> float:
-    """sup over samples F and aligned cubes Q of ||A_Q F|| / ||F||, both
-    norms taken in the rho-weighted L^p.
+def averaging_sup_ratio(rho: NormField, p: float, fields) -> float:
+    """sup over fields F and aligned cubes Q of ||A_Q F|| / ||F||, both
+    norms taken in the rho-weighted L^p, A_Q F being the cube average on Q
+    and zero elsewhere.  Finiteness of the sup is the operational content
+    of the averaging characterization.
 
-    samples holds (field, tree) pairs on rho's grid, tree being
-    cube_integral_tree(field); A_Q F is the cube average on Q and zero
-    elsewhere.  Finiteness of the sup is the operational content of the
-    averaging characterization.
+    rho must hold double duals on one grid (TypeError otherwise): maxima of
+    |<v, u_i>| / inner_x[i], so rho_x(K) is exactly max_i h_K(u_i) / inner_x[i],
+    h_K the support function.  That of an Aumann average is the average of
+    its cells' (Rockafellar, Convex Analysis, 1970), so one support row per
+    cell gives every rho_x(A_Q F), with no body formed.
     """
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not all(isinstance(r, GeometricMeanDoubleDual) for r in rho.norms):
+        raise TypeError("support rows need a geometric-mean double dual in every cell")
+    grid = rho.norms[0].grid
+    if not all(r.grid is grid or np.array_equal(r.grid, grid) for r in rho.norms):
+        raise TypeError("the cells' double duals use different direction grids")
+    inner = np.stack([r.inner for r in rho.norms])
     domain = rho.domain
-    vol = domain.cell_volume
+    k, n, vol = domain.level, domain.n, domain.cell_volume
     sup = 0.0
-    for field, tree in samples:
-        base = lp_norm(field, p, rho)
+    for field in fields:
+        if field.domain != domain:
+            raise ValueError("norm field grid does not match the set field")
+        G = field.generators
+        dots = np.abs(G.reshape(-1, G.shape[2]) @ grid.T)
+        sums = dots.reshape(len(G), -1, len(grid)).max(axis=1)  # h_{F(x)}(u_i)
+        base = values_lp_norm((sums / inner).max(axis=1), p, vol)
         if base == 0.0:
             continue
-        for j, cubes in enumerate(tree.levels):
-            for coords, cube in cubes.items():
-                avg = scale(1.0 / tree.volumes[j][coords], tree.integrals[j][coords])
-                vals = [rho.norms[idx].of_body(avg) for idx in aligned_cells(domain, cube)]
-                sup = max(sup, math.fsum(v ** p * vol for v in vals) ** (1.0 / p) / base)
+        for j in range(k, -1, -1):
+            if j < k:  # children summed into parents, as a cube tree would
+                sums = sums[_cube_cells(n, j + 1, j)].sum(axis=1)
+            avg = sums * 2.0 ** ((j - k) * n)  # a power of two: exact
+            vals = (avg[:, None, :] / inner[_cube_cells(n, k, j)]).max(axis=2)
+            for row in vals.tolist():  # fsum of Python-float powers, as lp_norm's
+                sup = max(sup, math.fsum(v ** p * vol for v in row) ** (1.0 / p) / base)
     return sup

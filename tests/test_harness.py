@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from setlp import harness, operators
 from setlp.bodies import ConvexBody, magnitude
 from setlp.cli import ConfigError, load_config, main
 from setlp.fields import SetField, random_simple_field
@@ -274,6 +275,33 @@ def test_weight_suites_make_no_spd_matrix_per_cell(monkeypatch, runner, options)
     coarse = _spd_matrices_made(monkeypatch, runner, ExperimentConfig(seed=7, level=3, **options))
     fine = _spd_matrices_made(monkeypatch, runner, ExperimentConfig(seed=7, level=5, **options))
     assert coarse == fine
+
+
+def _body_work(monkeypatch, config) -> tuple:
+    # (ConvexBody constructions, cube_integral_tree calls) of one riesz-thorin run
+    made, trees = [], []
+    init, tree = ConvexBody.__init__, operators.cube_integral_tree
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_tree(*args, **kwargs):
+        trees.append(1)
+        return tree(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ConvexBody, "__init__", counting_init)
+        for module in (operators, harness):  # the name, wherever it is imported
+            patch.setattr(module, "cube_integral_tree", counting_tree, raising=False)
+        assert run_riesz_thorin(config).passed
+    return len(made), len(trees)
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_riesz_thorin_builds_no_body(monkeypatch, level):
+    config = ExperimentConfig(seed=7, level=level, trials=4, directions=60)
+    assert _body_work(monkeypatch, config) == (0, 0)
 
 
 @pytest.mark.parametrize("d", [2, 3])

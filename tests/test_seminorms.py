@@ -127,7 +127,7 @@ def test_subgrid_is_the_nested_grid_and_never_exceeds_the_fine_values(fine_doubl
     dd = fine_double_dual
     sub = dd.on_subgrid(m)
     assert sub.directions == m
-    assert np.array_equal(sub._grid, direction_grid(dd.dim, m))
+    assert np.array_equal(sub.grid, direction_grid(dd.dim, m))
     probe = np.random.default_rng(m).standard_normal((500, dd.dim))
     # a max over a subset of the same functionals: no slack
     assert np.all(sub.values(probe) <= dd.values(probe))
@@ -175,10 +175,10 @@ def test_exact_inner_duals_bound_a_dense_search_and_the_grid(dim):
         A, B = (random_spd_matrix(rng, dim, spread=1.5).arr for _ in range(2))
         t = float(rng.uniform(0.05, 0.95))
         dd = GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(B), t, directions=48)
-        brute = (np.abs(dd._grid @ dense.T) / dd.mean_values(dense)).max(axis=1)
-        assert np.all(brute <= dd._inner * (1.0 + 1e-14))
-        on_grid = (np.abs(dd._grid @ dd._grid.T) / dd.mean_values(dd._grid)).max(axis=1)
-        assert np.all(dd._inner >= on_grid)
+        brute = (np.abs(dd.grid @ dense.T) / dd.mean_values(dense)).max(axis=1)
+        assert np.all(brute <= dd.inner * (1.0 + 1e-14))
+        on_grid = (np.abs(dd.grid @ dd.grid.T) / dd.mean_values(dd.grid)).max(axis=1)
+        assert np.all(dd.inner >= on_grid)
 
 
 def test_exact_inner_duals_agree_with_a_converged_search():
@@ -186,17 +186,17 @@ def test_exact_inner_duals_agree_with_a_converged_search():
     for pair_idx in range(20):
         w0, w1, t = _comparability_pair(7, pair_idx)
         dd = GeometricMeanDoubleDual(MatrixNorm(w0), MatrixNorm(w1), t, directions=1440)
-        search = dual_values(dd.mean.values, dd.dim, dd._grid, directions=1440)
-        assert np.abs(dd._inner / search - 1.0).max() < 1e-12, pair_idx
+        search = dual_values(dd.mean.values, dd.dim, dd.grid, directions=1440)
+        assert np.abs(dd.inner / search - 1.0).max() < 1e-12, pair_idx
 
 
 def test_exact_inner_duals_pass_a_local_maximum_of_the_search():
     # seed 16, pair 16: the search stops at a local maximum on some rows
     w0, w1, t = _comparability_pair(16, 16)
     dd = GeometricMeanDoubleDual(MatrixNorm(w0), MatrixNorm(w1), t, directions=1440)
-    search = dual_values(dd.mean.values, dd.dim, dd._grid, directions=1440)
-    assert (dd._inner / search - 1.0).max() > 1e-3
-    assert (dd._inner / search - 1.0).min() > -1e-12
+    search = dual_values(dd.mean.values, dd.dim, dd.grid, directions=1440)
+    assert (dd.inner / search - 1.0).max() > 1e-3
+    assert (dd.inner / search - 1.0).min() > -1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -205,15 +205,15 @@ def test_exact_inner_duals_of_proportional_factors_have_the_closed_form(dim, fac
     # p_t = c^t |A w|, so p_t*(u) = |A^-T u| / c^t
     A = random_spd_matrix(np.random.default_rng(dim), dim, spread=0.8).arr
     dd = GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(factor * A), 0.35, directions=200)
-    want = np.linalg.norm(dd._grid @ np.linalg.inv(A), axis=1) / factor ** 0.35
-    assert np.abs(dd._inner / want - 1.0).max() < 1e-14
+    want = np.linalg.norm(dd.grid @ np.linalg.inv(A), axis=1) / factor ** 0.35
+    assert np.abs(dd.inner / want - 1.0).max() < 1e-14
 
 
 def test_scalar_double_dual_keeps_its_closed_form_bit_for_bit():
     # 1 / (2^0.7 3^0.3) and the values it gives, as the search-based
     # implementation computed them
     dd = GeometricMeanDoubleDual(MatrixNorm([[2.0]]), MatrixNorm([[3.0]]), 0.3)
-    assert dd._inner[0] == 0.44273374664777815
+    assert dd.inner[0] == 0.44273374664777815
     got = dd.values(np.array([[-1.7], [0.4]]))
     assert np.array_equal(got, [3.8397795805533077, 0.9034775483654842])
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from setlp.fields import NormField, lp_norm, random_simple_field
+from setlp.bodies import ConvexBody
+from setlp.fields import NormField, SetField, lp_norm
 from setlp.grids import DyadicDomain, dyadic_cube_family
 from setlp.matrices import MatrixField, SpdMatrix
-from setlp.operators import aligned_cells, cube_integral_tree, frac_average
+from setlp.harness import ExperimentConfig, _averaging_samples, _fixture_pair
+from setlp.operators import aligned_cells, frac_average
 from setlp.seminorms import DualNorm, MatrixNorm, direction_grid
 from setlp.weights import (
     FIXTURE_CONDITION_CAP,
@@ -75,8 +77,6 @@ def _reference_ap_constant(W, p):
 @pytest.mark.parametrize("name,n,level", [("rotated", 1, 8), ("random", 1, 8),
                                           ("rotated", 2, 4), ("random", 2, 4)])
 def test_ap_constant_is_bitwise_the_per_cube_loop(name, n, level):
-    from setlp.harness import _fixture_pair
-
     for W in _fixture_pair(name, DyadicDomain(n, level)):
         for p in (1.5, 2.0, 3.0):
             assert ap_matrix_constant(W, p) == _reference_ap_constant(W, p)
@@ -172,8 +172,6 @@ def _factorization_oracle(a, b, t):
 
 
 def _oracle_pairs():
-    from setlp.harness import _fixture_pair
-
     for name, n, level in (("rotated", 1, 8), ("random", 1, 8),
                            ("rotated", 2, 4), ("random", 2, 4)):
         yield _fixture_pair(name, DyadicDomain(n, level))
@@ -232,40 +230,73 @@ def _reference_sup_ratio(rho, p, fields):
     return sup
 
 
-def _scan_inputs(n):
+def _scan_inputs(n, name="rotated"):
+    """A double-dual norm field of one riesz-thorin fixture pair on a level-3
+    grid, and the suite's four trial fields (smooth, smooth, spike,
+    checkerboard) of its value dimension."""
     domain = DyadicDomain(n, 3)
-    W = fixture_weights("rotated_diag", {"spread": 0.5}, domain)
-    rho = NormField.from_matrix_field(W)
-    fields = [random_simple_field(np.random.default_rng([9, i]), domain, 2)
-              for i in range(4)]
-    return rho, fields, [(f, cube_integral_tree(f)) for f in fields]
+    rho = NormField.gm_double_dual(*_fixture_pair(name, domain), 0.5, directions=120)
+    return rho, _averaging_samples(ExperimentConfig(seed=9), domain, rho.dim, 4)
 
 
 def test_averaging_sup_ratio_equals_per_cube_averages_on_the_line():
-    # n = 1: the tree and frac_average add the same bodies in the same order
-    rho, fields, samples = _scan_inputs(1)
-    got = averaging_sup_ratio(rho, 2.0, samples)
-    assert got == _reference_sup_ratio(rho, 2.0, fields)
-    assert math.isfinite(got) and got > 0.0
+    # d = 1: both paths add the same scalar support values in the same
+    # order and scale by powers of two, so they agree bit for bit.  d = 2:
+    # the planar Minkowski sum walks its edges with a running sum, so its
+    # vertices round apart from the averaged support rows.
+    for name, exact in (("two_scales", True), ("rotated", False)):
+        rho, fields = _scan_inputs(1, name)
+        for field in fields:
+            got = averaging_sup_ratio(rho, 2.0, [field])
+            want = _reference_sup_ratio(rho, 2.0, [field])
+            assert got == (want if exact else pytest.approx(want, rel=1e-12, abs=0.0))
+            assert math.isfinite(got) and got > 0.0
+        assert averaging_sup_ratio(rho, 2.0, fields) == max(
+            averaging_sup_ratio(rho, 2.0, [field]) for field in fields)
 
 
 def test_averaging_sup_ratio_matches_per_cube_averages_in_the_plane():
-    rho, fields, samples = _scan_inputs(2)
-    got = averaging_sup_ratio(rho, 2.0, samples)
-    assert got == pytest.approx(_reference_sup_ratio(rho, 2.0, fields), rel=1e-12)
+    for name in ("two_scales", "rotated"):
+        rho, fields = _scan_inputs(2, name)
+        for field in fields:
+            want = _reference_sup_ratio(rho, 2.0, [field])
+            assert averaging_sup_ratio(rho, 2.0, [field]) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+
+
+def test_averaging_sup_ratio_reads_a_body_field_through_padded_generators():
+    # cells of up to three generators: the origin cell and the shorter
+    # lists are padded with zero rows, which no support row can exceed
+    rho, _ = _scan_inputs(1)
+    rng = np.random.default_rng(13)
+    cells = [ConvexBody(2, rng.standard_normal((i % 4, 2))) for i in range(rho.domain.num_cells)]
+    field = SetField(rho.domain, cells)
+    counts = {c.num_generators for c in cells}
+    assert min(counts) == 0 and max(counts) == field.generators.shape[1] and len(counts) > 2
+    got = averaging_sup_ratio(rho, 2.0, [field])
+    assert got == pytest.approx(_reference_sup_ratio(rho, 2.0, [field]), rel=1e-12, abs=0.0)
 
 
 def test_averaging_sup_ratio_rejects_bad_exponents():
-    rho, _, samples = _scan_inputs(1)
+    rho, fields = _scan_inputs(1)
     for p in (0.5, math.inf):
         with pytest.raises(ValueError):
-            averaging_sup_ratio(rho, p, samples)
+            averaging_sup_ratio(rho, p, fields)
+
+
+def test_averaging_sup_ratio_needs_double_duals_on_one_grid():
+    rho, fields = _scan_inputs(1)
+    W = fixture_weights("rotated_diag", {"spread": 0.5}, rho.domain)
+    with pytest.raises(TypeError, match="double dual"):
+        averaging_sup_ratio(NormField(rho.domain, [MatrixNorm(m) for m in W.stack()]),
+                            2.0, fields)
+    mixed = NormField(rho.domain, rho.norms[:-1] + (rho.norms[-1].on_subgrid(60),))
+    with pytest.raises(TypeError, match="direction grids"):
+        averaging_sup_ratio(mixed, 2.0, fields)
 
 
 def test_norm_check_on_the_interpolated_rotated_weight():
     # the `norm_field` value of reverse-factorization's side-by-side at seed 7
-    from setlp.harness import ExperimentConfig, _fixture_pair
-
     config = ExperimentConfig(seed=7)
     mf0, mf1 = _fixture_pair("rotated", DyadicDomain(1, 5))
     wbar = reverse_factorization(mf0, mf1, config.ts[len(config.ts) // 2])
@@ -317,8 +348,6 @@ def _rough_weights(domain):
                                           ("rotated", 2, 3), ("random", 2, 3),
                                           ("rough", 2, 3)])
 def test_averaging_norms_match_the_per_cube_singular_value(name, n, level):
-    from setlp.harness import _fixture_pair
-
     domain = DyadicDomain(n, level)
     for W in _rough_weights(domain) if name == "rough" else _fixture_pair(name, domain):
         got, want = averaging_norms(W), _reference_norms(W)
@@ -361,8 +390,6 @@ def test_norm_check_matrix_fixture():
 def test_directional_ratio_stays_below_the_closed_form():
     # sup_v |<W^-2>^(1/2) v| / |<W^2>^(-1/2) v| is N_Q; a 1440-direction
     # grid reads it from below
-    from setlp.harness import _fixture_pair
-
     V = direction_grid(2, 1440)
     for W in _fixture_pair("random", DyadicDomain(1, 4)):
         nqs = averaging_norms(W)
