@@ -18,7 +18,7 @@ import numpy as np
 from .bodies import ConvexBody, fold_minkowski, magnitude, minkowski_sum, origin_body, scale
 from .grids import DyadicDomain
 from .matrices import MatrixField
-from .seminorms import EuclideanNorm, GeometricMeanDoubleDual, MatrixNorm, Seminorm
+from .seminorms import EuclideanNorm, GeometricMeanDoubleDual, Seminorm
 
 
 class SetField:
@@ -163,16 +163,14 @@ class NormField:
                        *, directions=None) -> "NormField":
         if mf0.domain != mf1.domain:
             raise ValueError("matrix field domains differ")
-        # one double dual per distinct cell pair, shared by equal cells
-        built = {}
-        norms = []
-        for a, b in zip(mf0.stack(), mf1.stack()):
-            key = (a.tobytes(), b.tobytes())
-            if key not in built:
-                built[key] = GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), t,
-                                                     directions=directions)
-            norms.append(built[key])
-        return cls(mf0.domain, norms)
+        # one double dual per distinct cell pair, shared by equal cells, all from one solve
+        A0, A1 = mf0.stack(), mf1.stack()
+        keys = [(a.tobytes(), b.tobytes()) for a, b in zip(A0, A1)]
+        distinct = {key: cell for cell, key in enumerate(keys)}  # one cell of each pair
+        cells = list(distinct.values())
+        built = dict(zip(distinct, GeometricMeanDoubleDual.from_matrix_stacks(
+            A0[cells], A1[cells], t, directions=directions)))
+        return cls(mf0.domain, [built[key] for key in keys])
 
     @property
     def dim(self) -> int:

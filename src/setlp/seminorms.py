@@ -16,12 +16,12 @@ and cross-checks hold at the advertised tolerances.
 
 The double dual of the weighted geometric mean p_t = p0^(1-t) * p1^t is
 evaluated as max_i |<v, u_i>| / p_t*(u_i) over a fixed direction grid.
-For matrix factors the inner duals p_t*(u_i) are exact: the Lagrange
-conditions of the ratio reduce to one polynomial of degree 2d - 1 per
-direction, and every real root is tried (``_matrix_mean_duals``).  With
-fixed denominators the evaluator is a max of absolute linear
-functionals, hence a genuine norm, and the pointwise bound
-double_dual(v) <= p_t(v) is inherited from |<v,u>| <= p_t(v) p_t*(u).
+For matrix factors the inner duals p_t*(u_i) are exact: the Lagrange conditions
+of the ratio reduce to one polynomial of degree 2d - 1 per direction, and every
+root's real part is tried (``_matrix_mean_duals``, one batched solve per stack
+of factor pairs, closed-form at d = 2).  With fixed denominators the evaluator
+is a max of absolute linear functionals, hence a genuine norm, and the pointwise
+bound double_dual(v) <= p_t(v) is inherited from |<v,u>| <= p_t(v) p_t*(u).
 Direction grids nest: the circle grid of m directions is a stride of any
 grid whose count is m times a power of two, and the sphere grid of m
 directions is a prefix of every larger one.  ``on_subgrid`` reads a
@@ -205,44 +205,69 @@ def dual_values(func, dim: int, V, *, directions: int | None = None) -> np.ndarr
     return best
 
 
-def _matrix_mean_duals(A0, A1, t: float, U, mean) -> np.ndarray:
-    """Exact p_t*(u) = sup_w |<u, w>| / (|A0 w|^(1-t) |A1 w|^t) per row u of U.
+def _monic_real_parts(coef) -> np.ndarray:
+    """Real parts of the roots of monic polynomials, coef (..., n + 1) in increasing
+    powers, the leading 1 implied.  Cubics in closed form: Viete's three real roots
+    where x^3 + p x + q (x = s + c2/3) has (q/2)^2 + (p/3)^3 <= 0, else Cardano's."""
+    n = coef.shape[-1] - 1
+    if n != 3:  # batched companion eigenvalues
+        comp = np.zeros(coef.shape[:-1] + (n, n))
+        comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp[..., :, -1] = -coef[..., :-1]
+        return np.linalg.eigvals(comp).real
+    c0, c1, shift = coef[..., 0], coef[..., 1], coef[..., 2] / 3.0
+    p, q = c1 - coef[..., 2] * shift, (2.0 * shift * shift - c1) * shift + c0
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    r = np.sqrt(np.maximum(-p / 3.0, 0.0))
+    cos3 = np.divide(-q, 2.0 * r ** 3, out=np.zeros_like(q), where=r > 0.0)
+    phase = np.arccos(np.clip(cos3, -1.0, 1.0))[..., None] / 3.0
+    trig = 2.0 * r[..., None] * np.cos(phase - (2.0 * np.pi / 3.0) * np.arange(3))
+    big = -np.cbrt(0.5 * q + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q))
+    x1 = big - np.divide(p, 3.0 * big, out=np.zeros_like(p), where=big != 0.0)
+    cardano = x1[..., None] * np.array([1.0, -0.5, -0.5])  # the complex pair's real part
+    return np.where((disc <= 0.0)[..., None], trig, cardano) - shift[..., None]
+
+
+def _matrix_mean_duals(A0, A1, t: float, U) -> np.ndarray:
+    """Exact p_t*(u) = sup_w |<u, w>| / (|A0 w|^(1-t) |A1 w|^t) per row u of U,
+    for a stack of factor pairs A0, A1 (m, d, d): an (m, len(U)) array.
 
     With A1 A0^-1 = Q diag(sigma) Vt and w = A0^-1 Vt^T y the ratio is
     |<a, y>| / (|y|^(1-t) |sigma y|^t), a = V^T A0^-T u.  Every critical
     point on the sphere has y_i proportional to a_i / ((1-t) s + t sigma_i^2),
     where s = |sigma y|^2 / |y|^2 is a root of the degree 2d - 1 polynomial
-    sum_i a_i^2 (s - sigma_i^2) prod_{j != i} ((1-t) s + t sigma_j^2)^2.
-    One batched eigenvalue solve of its companion matrices yields all of
-    them; each candidate is an attained ratio, evaluated through ``mean``,
-    so the max over candidates is the supremum.
+    sum_i a_i^2 (s - sigma_i^2) prod_{j != i} ((1-t) s + t sigma_j^2)^2,
+    solved for the whole stack at once.  Each candidate is an attained
+    ratio, so the max over candidates is the supremum.  Read-only result.
     """
     try:
         inv0 = np.linalg.inv(A0)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSeminormError("singular factor: unit ball unbounded") from exc
     _, sigma, vt = np.linalg.svd(A1 @ inv0)
-    if not sigma[-1] > 1e-14 * sigma[0]:  # the grid search's relative floor
+    if not np.all(sigma[:, -1] > 1e-14 * sigma[:, 0]):  # the grid search's relative floor
         raise DegenerateSeminormError("singular factor: unit ball unbounded")
-    sq = (sigma / sigma[0]) ** 2  # s is scale-free: measure it in sigma_max^2
-    basis = inv0 @ vt.T
-    a = U @ basis
+    sq = (sigma / sigma[:, :1]) ** 2  # s is scale-free: measure it in sigma_max^2
+    d = sq.shape[1]
+    basis = inv0 @ np.swapaxes(vt, 1, 2)
+    a = np.swapaxes(basis, 1, 2) @ U.T  # (m, d, directions): basis^T u per column
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    # the polynomial over (1-t)^(2d-2), in increasing powers; monic as |a| = 1
-    pl = np.polynomial.polynomial
+    # row i over (1-t)^(2d-2): roots sigma_i^2 and twice -t/(1-t) sigma_j^2, j != i
     poles = -t / (1.0 - t) * sq
-    rows = [pl.polymul([-sq[i], 1.0], pl.polyfromroots(np.repeat(np.delete(poles, i), 2)))
-            for i in range(len(sq))]
-    coef = (a * a) @ np.array(rows)
-    n = coef.shape[1] - 1
-    comp = np.zeros((len(a), n, n))
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    comp[:, :, -1] = -coef[:, :-1]
-    roots = np.clip(np.linalg.eigvals(comp).real, sq[-1], 1.0)
-    s = np.column_stack([roots, np.full(len(a), sq[-1]), np.ones(len(a))])  # and both ends
-    W = (a[:, None, :] / ((1.0 - t) * s[..., None] + t * sq)) @ basis.T
-    ratio = np.abs(np.einsum("nd,nkd->nk", U, W)) / mean(W.reshape(-1, len(sq))).reshape(s.shape)
-    return ratio.max(axis=1)
+    rows = np.broadcast_to(np.eye(1, 2 * d), (len(sq), d, 2 * d))  # the constant 1
+    for root in [sq] + [np.roll(poles, -k, axis=1) for k in range(1, d)] * 2:
+        rows = np.roll(rows, 1, axis=2) - root[..., None] * rows  # times (s - root)
+    coef = np.swapaxes(a * a, 1, 2) @ rows  # monic as |a| = 1
+    roots = np.clip(_monic_real_parts(coef), sq[:, -1, None, None], 1.0)
+    best = np.zeros((len(sq), len(U)))
+    for s in (*np.moveaxis(roots, 2, 0), sq[:, -1:], np.ones((1, 1))):  # and both ends
+        W = basis @ (a / ((1.0 - t) * s[:, None, :] + t * sq[..., None]))  # (m, d, directions)
+        mean = np.linalg.norm(A0 @ W, axis=1) ** (1.0 - t) * np.linalg.norm(A1 @ W, axis=1) ** t
+        best = np.maximum(best, np.abs((W * U.T).sum(axis=1)) / mean)
+    if not np.all(best > 0.0):
+        raise DegenerateSeminormError("geometric mean degenerate on a grid direction")
+    best.setflags(write=False)
+    return best
 
 
 # -- evaluator hierarchy --------------------------------------------------
@@ -396,21 +421,33 @@ class GeometricMeanDoubleDual(Seminorm):
     """
 
     def __init__(self, p0: Seminorm, p1: Seminorm, t: float, *, directions: int | None = None):
-        self.mean = WeightedGeometricMean(p0, p1, t)
-        self.p0, self.p1, self.t = p0, p1, float(t)
-        self.dim = p0.dim
-        self.directions = directions if directions is not None else DEFAULT_DIRECTIONS[self.dim]
-        self.grid = direction_grid(self.dim, self.directions)
+        self._set_factors(p0, p1, t, directions)
         if self.dim == 1:
             self.inner = dual_values(self.mean.values, 1, self.grid)
+            self.inner.setflags(write=False)
         elif getattr(p0, "matrix", None) is None or getattr(p1, "matrix", None) is None:
             raise TypeError("a double dual in dimension >= 2 needs matrix-induced factors")
         else:
-            self.inner = _matrix_mean_duals(p0.matrix, p1.matrix, self.t, self.grid,
-                                            self.mean.values)
-        if not np.all(self.inner > 0.0):
-            raise DegenerateSeminormError("geometric mean degenerate on a grid direction")
-        self.inner.setflags(write=False)
+            self.inner = _matrix_mean_duals(p0.matrix[None], p1.matrix[None], self.t, self.grid)[0]
+
+    @classmethod
+    def from_matrix_stacks(cls, A0, A1, t: float, *, directions: int | None = None) -> list:
+        """Double duals of |A0[i] .| and |A1[i] .| as the constructor's; at d >= 2 one solve."""
+        if A0.shape[-1] == 1:
+            return [cls(MatrixNorm(a), MatrixNorm(b), t, directions=directions)
+                    for a, b in zip(A0, A1)]
+        duals = [cls.__new__(cls)._set_factors(MatrixNorm(a), MatrixNorm(b), t, directions)
+                 for a, b in zip(A0, A1)]
+        for dd, inner in zip(duals, _matrix_mean_duals(A0, A1, duals[0].t, duals[0].grid)):
+            dd.inner = inner
+        return duals
+
+    def _set_factors(self, p0, p1, t, directions):
+        self.mean = WeightedGeometricMean(p0, p1, t)
+        self.p0, self.p1, self.t, self.dim = p0, p1, float(t), p0.dim
+        self.directions = directions if directions is not None else DEFAULT_DIRECTIONS[self.dim]
+        self.grid = direction_grid(self.dim, self.directions)
+        return self
 
     def values(self, V):
         return self._ratios(V).max(axis=1)

@@ -42,6 +42,9 @@ def _cube_cells(n: int, k: int, j: int) -> np.ndarray:
     return np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
 
 
+_OPNORM_CHUNK = 128  # rows of the pairwise operator-norm matrix per einsum block
+
+
 def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.ndarray:
     """P[x, y] = operator norm of left[x] @ right[y], chunked over x."""
     count, d = left.shape[0], left.shape[-1]
@@ -53,7 +56,7 @@ def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.nda
     return P
 
 
-def ap_matrix_constant(W: MatrixField, p: float, *, chunk: int = 128) -> float:
+def ap_matrix_constant(W: MatrixField, p: float) -> float:
     """Matrix weight characteristic for p > 1 over the aligned dyadic cubes.
 
     Per level, _cube_cells lists each cube's cells, so every cube's block
@@ -68,7 +71,7 @@ def ap_matrix_constant(W: MatrixField, p: float, *, chunk: int = 128) -> float:
     k, n = W.domain.level, W.domain.n
     stack = W.stack()
     inverse = np.linalg.inv(stack)
-    powers = _pairwise_opnorms(stack, inverse, chunk) ** pprime
+    powers = _pairwise_opnorms(stack, inverse, _OPNORM_CHUNK) ** pprime
     top = 0.0
     for j in range(k + 1):
         cells = _cube_cells(n, k, j)
@@ -279,6 +282,8 @@ def averaging_sup_ratio(rho: NormField, p: float, fields) -> float:
     inner = np.stack([r.inner for r in rho.norms])
     domain = rho.domain
     k, n, vol = domain.level, domain.n, domain.cell_volume
+    children = [_cube_cells(n, j + 1, j) for j in range(k)]
+    cube_inner = [inner[_cube_cells(n, k, j)] for j in range(k + 1)]
     sup = 0.0
     for field in fields:
         if field.domain != domain:
@@ -291,9 +296,9 @@ def averaging_sup_ratio(rho: NormField, p: float, fields) -> float:
             continue
         for j in range(k, -1, -1):
             if j < k:  # children summed into parents, as a cube tree would
-                sums = sums[_cube_cells(n, j + 1, j)].sum(axis=1)
+                sums = sums[children[j]].sum(axis=1)
             avg = sums * 2.0 ** ((j - k) * n)  # a power of two: exact
-            vals = (avg[:, None, :] / inner[_cube_cells(n, k, j)]).max(axis=2)
+            vals = (avg[:, None, :] / cube_inner[j]).max(axis=2)
             for row in vals.tolist():  # fsum of Python-float powers, as lp_norm's
                 sup = max(sup, math.fsum(v ** p * vol for v in row) ** (1.0 / p) / base)
     return sup

@@ -18,7 +18,9 @@ from setlp.fields import (
     values_distribution,
     weak_norm,
 )
+from setlp import seminorms
 from setlp.grids import DyadicDomain
+from setlp.harness import ExperimentConfig, run_riesz_thorin
 from setlp.matrices import MatrixField, random_spd_matrix
 from setlp.seminorms import GeometricMeanDoubleDual, MatrixNorm, direction_grid
 
@@ -148,6 +150,28 @@ def test_gm_double_dual_field_shares_one_norm_per_distinct_cell_pair():
     for x, y, nm in zip(mf0.cells, mf1.cells, rho.norms):
         alone = GeometricMeanDoubleDual(MatrixNorm(x.arr), MatrixNorm(y.arr), 0.5, directions=120)
         assert np.array_equal(nm.values(V), alone.values(V))
+
+
+def test_gm_double_dual_solves_each_field_in_one_call(monkeypatch):
+    stacks = []
+    solve = seminorms._matrix_mean_duals
+
+    def counting(A0, A1, t, U):
+        stacks.append(len(A0))
+        return solve(A0, A1, t, U)
+
+    monkeypatch.setattr(seminorms, "_matrix_mean_duals", counting)
+    domain = DyadicDomain(1, 3)
+    rng = np.random.default_rng(12)
+    a, b, c = (random_spd_matrix(rng, 2) for _ in range(3))
+    NormField.gm_double_dual(MatrixField(domain, [a, a, b, b, a, a, b, b]),
+                             MatrixField(domain, [c, c, c, c, a, a, a, a]), 0.5, directions=120)
+    assert stacks == [4]  # the four distinct cell pairs, together
+    # riesz-thorin at level 3: 3 levels x the 3 fixtures with d >= 2
+    stacks.clear()
+    config = ExperimentConfig(seed=7, level=3, trials=2, directions=60)
+    assert run_riesz_thorin(config).passed
+    assert len(stacks) == 9
 
 
 def test_distribution_counts_match_brute_force():

@@ -11,6 +11,8 @@ from setlp.seminorms import (
     GeometricMeanDoubleDual,
     MatrixNorm,
     WeightedGeometricMean,
+    _matrix_mean_duals,
+    _monic_real_parts,
     direction_grid,
     dual_values,
 )
@@ -226,3 +228,105 @@ def test_double_dual_in_the_plane_needs_matrix_factors():
 def test_double_dual_of_a_singular_factor_is_rejected():
     with pytest.raises(DegenerateSeminormError):
         GeometricMeanDoubleDual(MatrixNorm(np.diag([1.0, 0.0])), MatrixNorm(np.eye(2)), 0.5)
+
+
+def _companion_real_parts(coef):
+    # the eigenvalue solve of the monic polynomials' companion matrices
+    n = coef.shape[-1] - 1
+    comp = np.zeros(coef.shape[:-1] + (n, n))
+    comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
+    comp[..., :, -1] = -coef[..., :-1]
+    return np.linalg.eigvals(comp).real
+
+
+def _monic_from_roots(roots):
+    # increasing powers; the leading coefficient is exactly 1
+    return np.array([np.polynomial.polynomial.polyfromroots(r).real for r in roots])
+
+
+def _sorted_clipped(values, low=-1.0, high=1.0):
+    return np.sort(np.clip(values, low, high), axis=-1)
+
+
+def test_closed_form_cubic_matches_the_companion_eigenvalues_on_random_cubics():
+    rng = np.random.default_rng(61)
+    coef = np.concatenate([rng.standard_normal((4000, 3)), np.ones((4000, 1))], axis=1)
+    got, want = _monic_real_parts(coef), _companion_real_parts(coef)
+    assert got.shape == want.shape == (4000, 3)
+    assert np.abs(_sorted_clipped(got) - _sorted_clipped(want)).max() < 1e-12
+    # the leading coefficient is read as 1 whatever it holds
+    assert np.array_equal(_monic_real_parts(coef * [1, 1, 1, 0]), got)
+
+
+@pytest.mark.parametrize("roots, tol", [
+    ([0.3, 0.3, 0.3], 1e-5),  # triple: both solves are off by ~eps^(1/3)
+    ([0.5, 0.5, -0.2], 1e-7),  # double: ~eps^(1/2)
+    ([0.4, -0.1 + 0.7j, -0.1 - 0.7j], 1e-14),  # one real root and a complex pair
+    ([0.9, 0.2 + 1e-3j, 0.2 - 1e-3j], 1e-12),  # a close complex pair
+    (0.1 * np.exp(2j * np.pi / 3 * np.arange(3)), 1e-14),  # depressed, p = 0 exactly
+    (0.5 + 0.1 * np.exp(2j * np.pi / 3 * np.arange(3)), 1e-13),  # p = 0 up to rounding
+    ([0.25, 0.6, 0.95], 1e-14),  # three distinct real roots
+])
+def test_closed_form_cubic_matches_the_companion_eigenvalues_on_crafted_cubics(roots, tol):
+    coef = _monic_from_roots([roots])
+    got, want = _monic_real_parts(coef), _companion_real_parts(coef)
+    exact = np.sort(np.real(roots))
+    for low, high in ((-1.0, 1.0), (0.3, 0.8)):
+        clipped = _sorted_clipped(got, low, high)
+        assert np.abs(clipped - _sorted_clipped(want, low, high)).max() < tol
+        assert np.abs(clipped - np.clip(exact, low, high)).max() < tol
+
+
+def _reference_inner_duals(A0, A1, t, U):
+    """The per-pair solve that the stacked one replaced: polynomials built
+    with numpy.polynomial, roots from companion eigenvalues, candidates
+    evaluated through WeightedGeometricMean."""
+    inv0 = np.linalg.inv(A0)
+    _, sigma, vt = np.linalg.svd(A1 @ inv0)
+    sq = (sigma / sigma[0]) ** 2
+    basis = inv0 @ vt.T
+    a = U @ basis
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    pl = np.polynomial.polynomial
+    poles = -t / (1.0 - t) * sq
+    rows = [pl.polymul([-sq[i], 1.0], pl.polyfromroots(np.repeat(np.delete(poles, i), 2)))
+            for i in range(len(sq))]
+    roots = np.clip(_companion_real_parts((a * a) @ np.array(rows)), sq[-1], 1.0)
+    s = np.column_stack([roots, np.full(len(a), sq[-1]), np.ones(len(a))])
+    W = (a[:, None, :] / ((1.0 - t) * s[..., None] + t * sq)) @ basis.T
+    mean = WeightedGeometricMean(MatrixNorm(A0), MatrixNorm(A1), t)
+    ratio = np.abs(np.einsum("nd,nkd->nk", U, W)) / mean.values(W.reshape(-1, len(sq))).reshape(s.shape)
+    return ratio.max(axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_inner_duals_match_the_per_pair_companion_solve(dim):
+    rng = np.random.default_rng(80 + dim)
+    U = direction_grid(dim, 240)
+    t = float(rng.uniform(0.1, 0.9))
+    pairs = [tuple(random_spd_matrix(rng, dim, spread=1.5).arr for _ in range(2))
+             for _ in range(8)]
+    A0, A1 = (np.array(side) for side in zip(*pairs))
+    stacked = _matrix_mean_duals(A0, A1, t, U)
+    assert stacked.shape == (8, 240) and not stacked.flags.writeable
+    built = GeometricMeanDoubleDual.from_matrix_stacks(A0, A1, t, directions=240)
+    for (a, b), row, dd in zip(pairs, stacked, built):
+        want = _reference_inner_duals(a, b, t, U)
+        assert np.abs(row / want - 1.0).max() < 1e-14
+        # a stack of one gives the same bits as a row of the stack
+        alone = GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), t, directions=240)
+        assert np.array_equal(alone.inner, row) and np.array_equal(dd.inner, row)
+
+
+@pytest.mark.parametrize("singular", ["A0", "A1"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_singular_factor_anywhere_in_a_stack_is_rejected(singular, position):
+    rng = np.random.default_rng(90)
+    A0, A1 = (np.array([random_spd_matrix(rng, 2).arr for _ in range(3)]) for _ in range(2))
+    # exactly singular: batched inv raises LinAlgError for A0, the
+    # relative singular-value floor catches A1
+    (A0 if singular == "A0" else A1)[position] = np.diag([1.0, 0.0])
+    with pytest.raises(DegenerateSeminormError):
+        _matrix_mean_duals(A0, A1, 0.5, direction_grid(2, 16))
+    with pytest.raises(DegenerateSeminormError):
+        GeometricMeanDoubleDual.from_matrix_stacks(A0, A1, 0.5, directions=16)
