@@ -14,12 +14,16 @@ representative each.  Minkowski sums in the plane use the classic
 edge-angle merge of the two boundary polygons, which is what keeps the
 per-trial cost of the maximal operator acceptable; in R^3 sums fall back
 to pairwise vertex sums plus a hull prune.
+
+scipy's Qhull is imported inside the functions that call it, so it loads
+only on the body path: `ConvexBody` pruning, gauges, `bodies-selftest`
+and the body-path test references.  The `setlp all` suites never import
+it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 _RANK_RTOL = 1e-13
 
@@ -38,6 +42,7 @@ def _canonical_signs(G: np.ndarray) -> np.ndarray:
 
 def _prune_full_rank(G: np.ndarray) -> np.ndarray:
     """Extreme-point extraction for a full-dimensional symmetric hull."""
+    from scipy.spatial import ConvexHull
     m = len(G)
     P = np.vstack([G, -G])
     hull = ConvexHull(P)
@@ -57,6 +62,7 @@ def _prune(dim: int, G: np.ndarray) -> np.ndarray:
     if dim == 1:
         return G[np.argmax(np.abs(G[:, 0]))][None, :]
     if len(G) > 1:
+        from scipy.spatial import QhullError
         try:
             G = _prune_full_rank(G)
         except QhullError:
@@ -73,6 +79,7 @@ def _prune_degenerate(dim: int, G: np.ndarray) -> np.ndarray:
         return G[np.argmax(norms)][None, :]
     basis = Vt[:rank]
     coords = G @ basis.T
+    from scipy.spatial import QhullError
     try:
         keep_coords = _prune_full_rank(coords)
     except QhullError:
@@ -273,6 +280,7 @@ def fold_minkowski(bodies, dim: int) -> ConvexBody:
 def _facet_equations(A: ConvexBody):
     """Outward facet equations a.x <= b (b > 0) of a full-dimensional body."""
     if A._facets is None:
+        from scipy.spatial import ConvexHull
         hull = ConvexHull(A.vertices())
         eq = hull.equations  # rows [a, c] meaning a.x + c <= 0
         A._facets = (np.ascontiguousarray(eq[:, :-1]), np.ascontiguousarray(-eq[:, -1]))

@@ -1,10 +1,21 @@
 """Every name a library or test module imports at module level is used
-there, and every private helper of the library has a caller in it."""
+there, and every private helper of the library has a caller in it.  The
+suites of `setlp all` load neither scipy nor the process-pool modules; the
+body path loads Qhull on first use."""
 
 import ast
+import json
+import multiprocessing
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+
+from setlp.bodies import ConvexBody
+from setlp.harness import _usable_cores
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "setlp"
@@ -53,3 +64,74 @@ def test_private_helpers_are_used_in_the_library():
               and node.name.startswith("_") and not node.name.startswith("__")
               and not any(node.name in refs for _, other, refs in nodes if other is not node)]
     assert not unused, f"private helpers without a caller outside their own body: {unused}"
+
+
+def _run_fresh(code: str, tmp_path, threads: int = 1) -> str:
+    """Run code in a new interpreter with SETLP_THREADS=threads; return the
+    last line of its stdout."""
+    env = dict(os.environ, SETLP_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH")])))
+    env.pop("SETLP_OUT", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+_HEAVY = ("scipy", "multiprocessing", "concurrent.futures")
+
+
+def test_suites_load_neither_scipy_nor_the_pool(tmp_path):
+    loaded = _run_fresh(f"""
+import json, sys
+from setlp.cli import main
+assert main(["all", "--seed", "7", "--level", "3", "--out", "reports"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith({_HEAVY!r}))))
+""", tmp_path)
+    assert json.loads(loaded) == []
+
+
+def test_bodies_selftest_loads_qhull(tmp_path):
+    loaded = _run_fresh("""
+import sys
+from setlp.harness import ExperimentConfig, run_bodies_selftest
+before = "scipy.spatial" in sys.modules
+assert run_bodies_selftest(ExperimentConfig(seed=13)).passed
+print(before, "scipy.spatial" in sys.modules)
+""", tmp_path)
+    assert loaded == "False True"
+
+
+@pytest.mark.skipif(_usable_cores() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs two usable cores and the fork start method")
+def test_pool_children_inherit_numpy_lazy_modules(tmp_path):
+    # numpy 2 imports these on first use; a forked trial worker that had to
+    # import them itself would pay for it in every pool of every pass
+    inherited = _run_fresh("""
+import os, sys
+from setlp.harness import _run_trials
+def probe(i):
+    return os.getpid(), "numpy.random" in sys.modules and "numpy.ma" in sys.modules
+out = _run_trials(probe, [0, 1])
+print(all(ok for _, ok in out), os.getpid() not in {pid for pid, _ in out})
+""", tmp_path, threads=2)
+    assert inherited == "True True"
+
+
+# coplanar in R^3 (a hexagon with one interior point), then collinear: Qhull
+# refuses both, so pruning takes the QhullError fallback
+_DEGENERATE = ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0.3, 0.2, 0.5]],
+               [[0.5, 1.0, -0.5], [-2.0, -4.0, 2.0], [1.5, 3.0, -1.5]])
+
+
+def test_degenerate_prune_from_a_cold_start(tmp_path):
+    kept = _run_fresh(f"""
+import json, sys
+from setlp.bodies import ConvexBody
+assert not any(m.startswith("scipy") for m in sys.modules)
+print(json.dumps([ConvexBody(3, G).generators.tolist() for G in {_DEGENERATE!r}]))
+""", tmp_path)
+    expected = [ConvexBody(3, np.array(G)).generators.tolist() for G in _DEGENERATE]
+    assert json.loads(kept) == expected
+    assert [len(g) for g in expected] == [3, 1]
