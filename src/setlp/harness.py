@@ -220,7 +220,6 @@ def _run_trials(worker, indices):
     # fork children start with the parent's modules imported.  numpy 2
     # loads numpy.random (the trial rngs) and numpy.ma (np.unique) on first
     # use; load them here once, or every child of every pool imports them
-    # (field-trials-2w: 0.10 -> 0.15 s a pass)
     import numpy.ma  # noqa: F401
     import numpy.random  # noqa: F401
     ctx = (multiprocessing.get_context("fork")
