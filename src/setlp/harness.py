@@ -547,10 +547,10 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     which dominates its own double dual.  Each pair is solved once, on the
     finest grid; the coarser grids are nested in it and share its
     denominators, so their double duals are maxima over subsets of the
-    same functionals, read off one product of the probes with the finest
-    grid.  The certified width c2/c1 therefore never grows as
-    the grid doubles, exactly, and ordering on the finest grid implies it
-    on the coarser ones.  The raw measured spread is kept alongside.
+    same functionals, read off products of 64-probe blocks with the finest
+    grid.  The certified width c2/c1 therefore never grows as the grid
+    doubles, exactly, and ordering on the finest grid implies it on the
+    coarser ones.  The raw measured spread is kept alongside.
     """
     t = config.ts[len(config.ts) // 2]
     grids = (360, 720, 1440)

@@ -133,13 +133,16 @@ def operator_norms(batch: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.abs(batch[:, 0, 0])
     if d == 2:
-        a, b = batch[:, 0, 0], batch[:, 0, 1]
-        c, e = batch[:, 1, 0], batch[:, 1, 1]
-        tr = a * a + b * b + c * c + e * e
-        det = a * e - b * c
-        disc = np.sqrt(np.maximum(0.0, tr * tr - 4.0 * det * det))
-        return np.sqrt(np.maximum(0.0, 0.5 * (tr + disc)))
+        return _opnorm_2x2(batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 0], batch[:, 1, 1])
     return np.linalg.svd(batch, compute_uv=False)[..., 0]
+
+
+def _opnorm_2x2(a, b, c, e) -> np.ndarray:
+    """Largest singular value of [[a, b], [c, e]], elementwise over the entry arrays."""
+    tr = a * a + b * b + c * c + e * e
+    det = a * e - b * c
+    disc = np.sqrt(np.maximum(0.0, tr * tr - 4.0 * det * det))
+    return np.sqrt(np.maximum(0.0, 0.5 * (tr + disc)))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import NormField, values_lp_norm
 from .grids import DyadicDomain, _ancestor_ids, dyadic_cube_family
-from .matrices import MatrixField, mean_stack, operator_norms
+from .matrices import MatrixField, _opnorm_2x2, mean_stack, operator_norms
 from .operators import aligned_cells
 from .seminorms import GeometricMeanDoubleDual
 
@@ -42,25 +42,33 @@ def _cube_cells(n: int, k: int, j: int) -> np.ndarray:
     return np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
 
 
-_OPNORM_CHUNK = 128  # rows of the pairwise operator-norm matrix per einsum block
+_OPNORM_CHUNK = 128  # rows of the pairwise operator-norm matrix built at once
 
 
 def _pairwise_opnorms(left: np.ndarray, right: np.ndarray, chunk: int) -> np.ndarray:
-    """P[x, y] = operator norm of left[x] @ right[y], chunked over x."""
+    """P[x, y] = ||left[x] @ right[y]||_op, chunked over x; closed form on entries at d <= 2."""
     count, d = left.shape[0], left.shape[-1]
+    r = np.ascontiguousarray(right.reshape(count, -1).T)  # r[d j + k] = right[:, j, k]
     P = np.empty((count, count))
     for start in range(0, count, chunk):
-        block = np.einsum("xij,yjk->xyik", left[start:start + chunk], right)
-        P[start:start + chunk] = operator_norms(block.reshape(-1, d, d)).reshape(
-            block.shape[0], count)
+        part, out = left[start:start + chunk], P[start:start + chunk]
+        l = part.reshape(len(part), -1).T[:, :, None]  # l[d i + j] = part[:, i, j], a column
+        if d == 1:
+            np.abs(l[0] * r[0], out=out)
+        elif d == 2:
+            out[:] = _opnorm_2x2(l[0] * r[0] + l[1] * r[2], l[0] * r[1] + l[1] * r[3],
+                                 l[2] * r[0] + l[3] * r[2], l[2] * r[1] + l[3] * r[3])
+        else:
+            block = np.einsum("xij,yjk->xyik", part, right).reshape(-1, d, d)
+            out[:] = operator_norms(block).reshape(len(part), count)
     return P
 
 
 def ap_matrix_constant(W: MatrixField, p: float) -> float:
     """Matrix weight characteristic for p > 1 over the aligned dyadic cubes.
 
-    Per level, _cube_cells lists each cube's cells, so every cube's block
-    of the pairwise matrix is one slice of a (cubes, size, size) gather.  The
+    Per level, every cube's block of the pairwise matrix (built in row chunks,
+    by the closed form at d <= 2) is one slice of a _cube_cells gather.  The
     monotone outer root is taken once, on the largest cube mean, by the
     scalar pow: numpy's vectorized pow can differ from it in the last bit.
     """

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from setlp.matrices import (
     random_spd_matrix,
     spd_stack,
 )
+from setlp.seminorms import _NESTED_BLOCK
 from setlp.weights import averaging_norms, reverse_factorization
 
 
@@ -304,19 +306,41 @@ def test_riesz_thorin_builds_no_body(monkeypatch, level):
     assert _body_work(monkeypatch, config) == (0, 0)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_nested_maxima_are_bitwise_the_subgrid_values(d):
+def _nested_pair(d):
+    """A 1440-direction double dual and 1000 unit probes, as _comparability_block's."""
     rng = np.random.default_rng(40 + d)
     dd = gm_double_dual_norm(random_spd_matrix(rng, d, spread=0.8),
                              random_spd_matrix(rng, d, spread=0.8), 0.5,
                              directions=1440).double_dual
     probe = rng.standard_normal((1000, d))
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    grids = (360, 720, 1440)
-    for m, got in zip(grids, dd.nested_values(probe, grids)):
-        assert got.tobytes() == dd.on_subgrid(m).values(probe).tobytes()
+    return dd, probe
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nested_maxima_are_bitwise_the_subgrid_values(d):
+    dd, probe = _nested_pair(d)
+    B = _NESTED_BLOCK
+    for rows in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 1000):  # B + 1: a one-row tail
+        V = probe[:rows]
+        grids = (1440, 360, 720)
+        for m, got in zip(grids, dd.nested_values(V, grids)):
+            assert got.shape == (rows,)
+            assert got.tobytes() == dd.on_subgrid(m).values(V).tobytes(), (rows, m)
     with pytest.raises(ValueError, match="not nested"):
         dd.nested_values(probe, (2880,))
+
+
+def test_nested_maxima_build_no_full_ratio_matrix():
+    # one 1000 x 1440 ratio matrix is 11.5 MB; the row blocks stay near 0.7 MB
+    dd, probe = _nested_pair(3)
+    tracemalloc.start()
+    try:
+        dd.nested_values(probe, (360, 720, 1440))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_bodies_selftest_runs():

@@ -6,7 +6,7 @@ import pytest
 from setlp.bodies import ConvexBody
 from setlp.fields import NormField, SetField, lp_norm
 from setlp.grids import DyadicDomain, dyadic_cube_family
-from setlp.matrices import MatrixField, SpdMatrix
+from setlp.matrices import MatrixField, SpdMatrix, operator_norms
 from setlp.harness import ExperimentConfig, _averaging_samples, _fixture_pair
 from setlp.operators import aligned_cells, frac_average
 from setlp.seminorms import DualNorm, MatrixNorm, direction_grid
@@ -59,6 +59,39 @@ def test_classical_constant_rejects_a_wrong_number_of_values():
         with pytest.raises(ValueError, match="4 cell values"):
             classical_ap_constant(bad, domain, 2.0)
     assert classical_ap_constant(w[:4], domain, 2.0) >= 1.0
+
+
+def _einsum_opnorms(left, right, chunk):
+    """The pairwise norms as einsum products through operator_norms, chunk by chunk."""
+    count, d = left.shape[0], left.shape[-1]
+    P = np.empty((count, count))
+    for start in range(0, count, chunk):
+        block = np.einsum("xij,yjk->xyik", left[start:start + chunk], right)
+        P[start:start + chunk] = operator_norms(block.reshape(-1, d, d)).reshape(
+            block.shape[0], count)
+    return P
+
+
+@pytest.mark.parametrize("n,level", [(1, 8), (2, 4)])
+def test_pairwise_opnorms_are_bitwise_the_einsum_path(n, level):
+    domain = DyadicDomain(n, level)
+    fields = _fixture_pair("rotated", domain) + _fixture_pair("random", domain)
+    fields += (fixture_weights("scalar_profile", {"amplitude": 1.0}, domain),)
+    for W in fields:
+        stack = W.stack()
+        inverse = np.linalg.inv(stack)
+        for chunk in (1, 7, 128, domain.num_cells + 5):
+            got = _pairwise_opnorms(stack, inverse, chunk)
+            assert got.tobytes() == _einsum_opnorms(stack, inverse, chunk).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pairwise_opnorms_match_svd(d):
+    rng = np.random.default_rng(60 + d)
+    left, right = rng.standard_normal((2, 23, d, d))
+    got = _pairwise_opnorms(left, right, 7)
+    want = np.linalg.svd(left[:, None] @ right[None], compute_uv=False)[..., 0]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _reference_ap_constant(W, p):
