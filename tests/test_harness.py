@@ -320,10 +320,9 @@ def _nested_pair(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_nested_maxima_are_bitwise_the_subgrid_values(d):
     dd, probe = _nested_pair(d)
-    B = _NESTED_BLOCK
+    B, grids = _NESTED_BLOCK, (1440, 360, 720)
     for rows in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 1000):  # B + 1: a one-row tail
         V = probe[:rows]
-        grids = (1440, 360, 720)
         for m, got in zip(grids, dd.nested_values(V, grids)):
             assert got.shape == (rows,)
             assert got.tobytes() == dd.on_subgrid(m).values(V).tobytes(), (rows, m)
