@@ -18,10 +18,12 @@ The double dual of the weighted geometric mean p_t = p0^(1-t) * p1^t is
 evaluated as max_i |<v, u_i>| / p_t*(u_i) over a fixed direction grid.
 For matrix factors the inner duals p_t*(u_i) are exact: the Lagrange conditions
 of the ratio reduce to one polynomial of degree 2d - 1 per direction, and every
-root's real part is tried (``_matrix_mean_duals``, one batched solve per stack
-of factor pairs, closed-form at d = 2).  With fixed denominators the evaluator
-is a max of absolute linear functionals, hence a genuine norm, and the pointwise
-bound double_dual(v) <= p_t(v) is inherited from |<v,u>| <= p_t(v) p_t*(u).
+real root in the interval that holds its variable is tried (``_matrix_mean_duals``,
+one batched solve per stack of factor pairs: closed-form at d = 2, bracketed
+between the derivative's roots, found the same way, above).  With fixed
+denominators the evaluator is a max of absolute linear functionals, hence a
+genuine norm, and the pointwise bound double_dual(v) <= p_t(v) is inherited
+from |<v,u>| <= p_t(v) p_t*(u).
 Direction grids nest: the circle grid of m directions is a stride of any
 grid whose count is m times a power of two, and the sphere grid of m
 directions is a prefix of every larger one.  ``on_subgrid`` reads a
@@ -43,6 +45,8 @@ DEFAULT_DIRECTIONS = {1: 1, 2: 720, 3: 2562}
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _NESTED_BLOCK = 64  # rows per ratio block in nested_values: 0.7 MB at 1440 directions
+_ROOT_TOL = 1e-12  # relative step that ends a bracketed root row
+_ROOT_CAP = 64  # iterations; bisection alone narrows a bracket by 2^-64
 
 
 class DegenerateSeminormError(ValueError):
@@ -206,16 +210,84 @@ def dual_values(func, dim: int, V, *, directions: int | None = None) -> np.ndarr
     return best
 
 
-def _monic_real_parts(coef) -> np.ndarray:
-    """Real parts of the roots of monic polynomials, coef (..., n + 1) in increasing
-    powers, the leading 1 implied.  Cubics in closed form: Viete's three real roots
-    where x^3 + p x + q (x = s + c2/3) has (q/2)^2 + (p/3)^3 <= 0, else Cardano's."""
+def _monic_roots_on(coef, lo, hi) -> np.ndarray:
+    """Every real root on [lo, hi] of monic polynomials, among n candidates each:
+    coef (..., n + 1) in increasing powers, the leading 1 implied, lo and hi
+    broadcasting against coef[..., :1]; an (..., n) array in [lo, hi].
+
+    Cubics in closed form.  Above that p is monotone between consecutive real
+    roots of p' (Rolle), found by this function, so each of the n brackets they
+    cut [lo, hi] into holds at most one root.  A bracket where p changes sign
+    gives its root by ``_bracketed_laguerre``; one where it does not gives its end
+    of smaller |p|, so a double root, a root of p' too, stays a candidate.
+    """
     n = coef.shape[-1] - 1
-    if n != 3:  # batched companion eigenvalues
-        comp = np.zeros(coef.shape[:-1] + (n, n))
-        comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
-        comp[..., :, -1] = -coef[..., :-1]
-        return np.linalg.eigvals(comp).real
+    if n == 3:
+        return np.clip(_cubic_real_parts(coef), lo, hi)
+    shape = coef.shape[:-1] + (1,)
+    slope = np.concatenate([coef[..., 1:n] * (np.arange(1, n) / n), np.ones(shape)], axis=-1)
+    ends = np.concatenate([np.broadcast_to(lo, shape),
+                           np.sort(_monic_roots_on(slope, lo, hi), axis=-1),
+                           np.broadcast_to(hi, shape)], axis=-1)
+    p_ends = _horner(coef[..., None, :], ends)[0]
+    a, b, pa, pb = ends[..., :-1], ends[..., 1:], p_ends[..., :-1], p_ends[..., 1:]
+    out = np.where(np.abs(pa) <= np.abs(pb), a, b)
+    idx = np.nonzero(np.sign(pa) * np.sign(pb) < 0.0)
+    out[idx] = _bracketed_laguerre(coef[idx[:-1]], a[idx], b[idx], pa[idx], pb[idx])
+    return out
+
+
+def _horner(coef, x):
+    """p(x), p'(x) and p''(x) / 2 of monic polynomials, coef (..., n + 1)
+    broadcasting against x."""
+    p, dp, half = np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    for k in range(coef.shape[-1] - 2, -1, -1):
+        half = half * x + dp
+        dp = dp * x + p
+        p = p * x + coef[..., k]
+    return p, dp, half
+
+
+def _bracketed_laguerre(coef, a, b, pa, pb) -> np.ndarray:
+    """The one root on [a, b] of each polynomial (coef rows, degree n), where
+    p(a) p(b) < 0: Laguerre's iteration from the secant point, in brackets.
+
+    Newton's step p / p' shrinks x by about 1/n a step while the leading power
+    dominates; Laguerre's corrects it for the other n - 1 roots and converges
+    cubically.  A step of at most _ROOT_TOL |x| that stays in the bracket ends
+    the row, so one that rounds onto an end is still the last.  Any other step
+    that leaves the bracket is replaced by bisection.
+    """
+    n = coef.shape[-1] - 1
+    neg, pos = np.where(pa < 0.0, a, b), np.where(pa < 0.0, b, a)
+    x = a - pa * (b - a) / (pb - pa)
+    out = np.empty_like(x)
+    rows = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_CAP):
+            if not len(rows):
+                break
+            p, dp, half = _horner(coef, x)
+            below = p < 0.0
+            neg, pos = np.where(below, x, neg), np.where(below, pos, x)
+            root = np.sqrt(np.maximum((n - 1) * ((n - 1) * dp * dp - 2 * n * p * half), 0.0))
+            step = n * p / (dp + np.copysign(root, dp))
+            new = x - step
+            inside = (new - neg) * (new - pos) <= 0.0
+            tol = _ROOT_TOL * np.abs(x)
+            done = (inside & (np.abs(step) <= tol)) | (np.abs(pos - neg) <= tol)
+            x = np.where(inside, new, 0.5 * (neg + pos))
+            out[rows[done]] = x[done]
+            keep = ~done
+            rows, coef, x, neg, pos = rows[keep], coef[keep], x[keep], neg[keep], pos[keep]
+        out[rows] = x
+    return out
+
+
+def _cubic_real_parts(coef) -> np.ndarray:
+    """Real parts of the roots of monic cubics, coef (..., 4) in increasing powers,
+    the leading 1 implied: Viete's three real roots where x^3 + p x + q
+    (x = s + c2/3) has (q/2)^2 + (p/3)^3 <= 0, else Cardano's."""
     c0, c1, shift = coef[..., 0], coef[..., 1], coef[..., 2] / 3.0
     p, q = c1 - coef[..., 2] * shift, (2.0 * shift * shift - c1) * shift + c0
     disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
@@ -237,9 +309,10 @@ def _matrix_mean_duals(A0, A1, t: float, U) -> np.ndarray:
     |<a, y>| / (|y|^(1-t) |sigma y|^t), a = V^T A0^-T u.  Every critical
     point on the sphere has y_i proportional to a_i / ((1-t) s + t sigma_i^2),
     where s = |sigma y|^2 / |y|^2 is a root of the degree 2d - 1 polynomial
-    sum_i a_i^2 (s - sigma_i^2) prod_{j != i} ((1-t) s + t sigma_j^2)^2,
-    solved for the whole stack at once.  Each candidate is an attained
-    ratio, so the max over candidates is the supremum.  Read-only result.
+    sum_i a_i^2 (s - sigma_i^2) prod_{j != i} ((1-t) s + t sigma_j^2)^2
+    in [sigma_min^2, sigma_max^2], solved there for the whole stack at once.
+    Each candidate, a root or an end, is an attained ratio, so the max over
+    candidates is the supremum.  Read-only result.
     """
     try:
         inv0 = np.linalg.inv(A0)
@@ -259,7 +332,7 @@ def _matrix_mean_duals(A0, A1, t: float, U) -> np.ndarray:
     for root in [sq] + [np.roll(poles, -k, axis=1) for k in range(1, d)] * 2:
         rows = np.roll(rows, 1, axis=2) - root[..., None] * rows  # times (s - root)
     coef = np.swapaxes(a * a, 1, 2) @ rows  # monic as |a| = 1
-    roots = np.clip(_monic_real_parts(coef), sq[:, -1, None, None], 1.0)
+    roots = _monic_roots_on(coef, sq[:, -1, None, None], 1.0)
     best = np.zeros((len(sq), len(U)))
     for s in (*np.moveaxis(roots, 2, 0), sq[:, -1:], np.ones((1, 1))):  # and both ends
         W = basis @ (a / ((1.0 - t) * s[:, None, :] + t * sq[..., None]))  # (m, d, directions)

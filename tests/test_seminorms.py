@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from setlp import seminorms
 from setlp.bodies import ConvexBody
 from setlp.matrices import random_spd_matrix
 from setlp.seminorms import (
@@ -11,8 +12,9 @@ from setlp.seminorms import (
     GeometricMeanDoubleDual,
     MatrixNorm,
     WeightedGeometricMean,
+    _cubic_real_parts,
     _matrix_mean_duals,
-    _monic_real_parts,
+    _monic_roots_on,
     direction_grid,
     dual_values,
 )
@@ -251,11 +253,11 @@ def _sorted_clipped(values, low=-1.0, high=1.0):
 def test_closed_form_cubic_matches_the_companion_eigenvalues_on_random_cubics():
     rng = np.random.default_rng(61)
     coef = np.concatenate([rng.standard_normal((4000, 3)), np.ones((4000, 1))], axis=1)
-    got, want = _monic_real_parts(coef), _companion_real_parts(coef)
+    got, want = _cubic_real_parts(coef), _companion_real_parts(coef)
     assert got.shape == want.shape == (4000, 3)
     assert np.abs(_sorted_clipped(got) - _sorted_clipped(want)).max() < 1e-12
     # the leading coefficient is read as 1 whatever it holds
-    assert np.array_equal(_monic_real_parts(coef * [1, 1, 1, 0]), got)
+    assert np.array_equal(_cubic_real_parts(coef * [1, 1, 1, 0]), got)
 
 
 @pytest.mark.parametrize("roots, tol", [
@@ -269,12 +271,65 @@ def test_closed_form_cubic_matches_the_companion_eigenvalues_on_random_cubics():
 ])
 def test_closed_form_cubic_matches_the_companion_eigenvalues_on_crafted_cubics(roots, tol):
     coef = _monic_from_roots([roots])
-    got, want = _monic_real_parts(coef), _companion_real_parts(coef)
+    got, want = _cubic_real_parts(coef), _companion_real_parts(coef)
     exact = np.sort(np.real(roots))
     for low, high in ((-1.0, 1.0), (0.3, 0.8)):
         clipped = _sorted_clipped(got, low, high)
         assert np.abs(clipped - _sorted_clipped(want, low, high)).max() < tol
         assert np.abs(clipped - np.clip(exact, low, high)).max() < tol
+
+
+
+@pytest.mark.parametrize("extra", [[], [0.1 + 2j, 0.1 - 2j]], ids=["degree5", "degree7"])
+@pytest.mark.parametrize("roots, lo, hi, exact_tol, ref_tol", [
+    # a double root inside: a root of p' here, the references split it by ~eps^(1/2)
+    ([0.4, 0.4, 0.7, -2.0, 3.0], 0.0, 1.0, 1e-12, 1e-7),
+    ([0.2, 0.9, 0.55, -1.0, 4.0], 0.2, 0.9, 1e-12, 1e-12),  # a root at each end
+    # three roots within 1e-6: every solve is off by ~eps^(1/3)
+    ([0.5, 0.5 + 1e-6, 0.5 + 2e-6, 0.1, 2.0], 0.0, 1.0, 1e-5, 1e-5),
+    # complex pairs off the interval and no real root on it
+    ([0.5 + 0.1j, 0.5 - 0.1j, 1.5, -0.5 + 0.2j, -0.5 - 0.2j], 0.0, 1.0, 1e-12, 1e-12),
+])
+def test_rolle_chain_finds_every_real_root_on_the_interval(roots, lo, hi, exact_tol, ref_tol, extra):
+    roots = np.array(roots + extra)
+    coef = _monic_from_roots([roots])
+    got = _monic_roots_on(coef, lo, hi)[0]
+    assert got.shape == (len(roots),) and np.all((lo <= got) & (got <= hi))
+    exact = roots.real[(roots.imag == 0.0) & (lo <= roots.real) & (roots.real <= hi)]
+    assert all(np.abs(got - r).min() < exact_tol for r in exact)
+    # np.roots' real roots on the interval are candidates here and were among
+    # the companion solve's clipped real parts
+    ref = np.roots(coef[0, ::-1])
+    ref = ref.real[(np.abs(ref.imag) < ref_tol) & (lo - ref_tol <= ref.real) & (ref.real <= hi + ref_tol)]
+    assert len(ref) >= len(exact)
+    companion = np.clip(_companion_real_parts(coef)[0], lo, hi)
+    for r in ref:
+        assert np.abs(got - r).min() < ref_tol and np.abs(companion - r).min() < ref_tol
+
+
+def test_no_bracket_of_the_seed_7_pairs_reaches_the_iteration_cap(monkeypatch):
+    # a converged step that rounds onto a bracket end must end its row, not
+    # fall back to bisection for dozens of passes
+    passes = []
+    laguerre, horner = seminorms._bracketed_laguerre, seminorms._horner
+
+    def counted_laguerre(*args):
+        passes.append(0)
+        return laguerre(*args)
+
+    def counted_horner(coef, x):
+        if x.ndim == 1:  # one pass of the bracketed iteration
+            passes[-1] += 1
+        return horner(coef, x)
+
+    monkeypatch.setattr(seminorms, "_bracketed_laguerre", counted_laguerre)
+    monkeypatch.setattr(seminorms, "_horner", counted_horner)
+    U = direction_grid(3, 1440)
+    for pair_idx in range(10, 20):
+        w0, w1, t = _comparability_pair(7, pair_idx)
+        _matrix_mean_duals(w0[None], w1[None], t, U)
+    assert len(passes) == 20  # per pair: the roots of p' (degree 4), then of p
+    assert max(passes) <= 8 < seminorms._ROOT_CAP
 
 
 def _reference_inner_duals(A0, A1, t, U):
@@ -316,6 +371,32 @@ def test_stacked_inner_duals_match_the_per_pair_companion_solve(dim):
         # a stack of one gives the same bits as a row of the stack
         alone = GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), t, directions=240)
         assert np.array_equal(alone.inner, row) and np.array_equal(dd.inner, row)
+
+
+@pytest.mark.parametrize("spread", [0.3, 0.8, 1.5, 2.5, 4.0])
+@pytest.mark.parametrize("t", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_inner_duals_in_three_dimensions_match_the_companion_solve(spread, t):
+    rng = np.random.default_rng(round(100 * spread + 10 * t))
+    U = direction_grid(3, 240)
+    pairs = [tuple(random_spd_matrix(rng, 3, spread=spread).arr for _ in range(2))
+             for _ in range(8)]
+    A0, A1 = (np.array(side) for side in zip(*pairs))
+    # both solves round the ratios at condition numbers up to exp(2 spread)
+    tol = 4.0 * np.finfo(float).eps * np.exp(2.0 * spread)
+    for (a, b), row in zip(pairs, _matrix_mean_duals(A0, A1, t, U)):
+        assert np.abs(row / _reference_inner_duals(a, b, t, U) - 1.0).max() < tol
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_double_duals_solve_no_eigenvalue_problem(dim, monkeypatch):
+    def eigvals(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    rng = np.random.default_rng(95 + dim)
+    A0, A1 = (np.array([random_spd_matrix(rng, dim).arr for _ in range(3)]) for _ in range(2))
+    for dd in GeometricMeanDoubleDual.from_matrix_stacks(A0, A1, 0.4, directions=64):
+        assert np.all(np.isfinite(dd.inner)) and np.all(dd.inner > 0.0)
 
 
 @pytest.mark.parametrize("singular", ["A0", "A1"])
