@@ -17,8 +17,7 @@ import numpy as np
 
 from .bodies import ConvexBody, fold_minkowski, magnitude, minkowski_sum, origin_body, scale
 from .grids import DyadicDomain
-from .matrices import MatrixField
-from .seminorms import EuclideanNorm, GeometricMeanDoubleDual, Seminorm
+from .seminorms import Seminorm
 
 
 class SetField:
@@ -34,32 +33,32 @@ class SetField:
     __slots__ = ("domain", "_cells", "_gens")
 
     def __init__(self, domain: DyadicDomain, cells):
+        """cells: num_cells ConvexBody objects, or a (num_cells, m, d)
+        generator array, copied, whose bodies are built on first access."""
+        self.domain, self._cells, self._gens = domain, None, None
+        if isinstance(cells, np.ndarray):
+            G = np.array(cells, dtype=float)
+            if (G.ndim != 3 or G.shape[0] != domain.num_cells or G.shape[1] < 1
+                    or G.shape[2] not in (1, 2, 3)):
+                raise ValueError(f"expected a ({domain.num_cells}, m, d) generator array "
+                                 f"with m >= 1 and d in (1, 2, 3), got shape {G.shape}")
+            if not np.all(np.isfinite(G)):
+                raise ValueError("generators must be finite")
+            G.setflags(write=False)
+            self._gens = G
+            return
         cells = tuple(cells)
         if len(cells) != domain.num_cells:
             raise ValueError(f"field needs {domain.num_cells} cells, got {len(cells)}")
         dims = {c.dim for c in cells}
         if len(dims) != 1:
             raise ValueError("all cells of a field must share one ambient dimension")
-        self.domain = domain
         self._cells = cells
-        self._gens = None
 
     @classmethod
     def from_generators(cls, domain: DyadicDomain, generators) -> "SetField":
         """Field whose cell i is conv{+-generators[i, j]}, bodies built lazily."""
-        G = np.array(generators, dtype=float)
-        if (G.ndim != 3 or G.shape[0] != domain.num_cells or G.shape[1] < 1
-                or G.shape[2] not in (1, 2, 3)):
-            raise ValueError(f"expected a ({domain.num_cells}, m, d) generator array "
-                             f"with m >= 1 and d in (1, 2, 3), got shape {G.shape}")
-        if not np.all(np.isfinite(G)):
-            raise ValueError("generators must be finite")
-        G.setflags(write=False)
-        field = cls.__new__(cls)
-        field.domain = domain
-        field._cells = None
-        field._gens = G
-        return field
+        return cls(domain, np.asarray(generators, dtype=float))
 
     @property
     def cells(self) -> tuple:
@@ -140,9 +139,9 @@ def magnitude_bound_check(field: SetField, cells=None) -> tuple[float, float]:
 class NormField:
     """A per-cell norm on the same grid as a set field.
 
-    Cells may share one constant norm or each carry their own; the
-    double-dual interpolated variant pairs two matrix fields with a
-    weight t.
+    Cells may share one constant norm or each carry their own.  A field of
+    geometric-mean double duals needs no objects: it is the rows of
+    ``seminorms.inner_duals``, which ``weights.averaging_sup_ratio`` reads.
     """
 
     __slots__ = ("domain", "norms")
@@ -153,28 +152,6 @@ class NormField:
             raise ValueError(f"norm field needs {domain.num_cells} cells, got {len(norms)}")
         self.domain = domain
         self.norms = norms
-
-    @classmethod
-    def euclidean(cls, domain: DyadicDomain, dim: int) -> "NormField":
-        return cls(domain, [EuclideanNorm(dim)] * domain.num_cells)
-
-    @classmethod
-    def gm_double_dual(cls, mf0: MatrixField, mf1: MatrixField, t: float,
-                       *, directions=None) -> "NormField":
-        if mf0.domain != mf1.domain:
-            raise ValueError("matrix field domains differ")
-        # one double dual per distinct cell pair, shared by equal cells, all from one solve
-        A0, A1 = mf0.stack(), mf1.stack()
-        keys = [(a.tobytes(), b.tobytes()) for a, b in zip(A0, A1)]
-        distinct = {key: cell for cell, key in enumerate(keys)}  # one cell of each pair
-        cells = list(distinct.values())
-        built = dict(zip(distinct, GeometricMeanDoubleDual.from_matrix_stacks(
-            A0[cells], A1[cells], t, directions=directions)))
-        return cls(mf0.domain, [built[key] for key in keys])
-
-    @property
-    def dim(self) -> int:
-        return self.norms[0].dim
 
 
 def _cell_values(field: SetField, rho) -> np.ndarray:

@@ -235,6 +235,13 @@ def _ancestor_ids(n: int, fine: int, j: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(coords), (1 << j,) * n)
 
 
+def _cube_cells(n: int, k: int, j: int) -> np.ndarray:
+    """Cells of every aligned level-j cube of a level-k grid, one row per
+    cube in row-major cube order, each row in row-major cell order: a
+    stable sort of the cells by their ancestor cube."""
+    return np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
+
+
 def _scaled_corners(n: int, tau: tuple[Fraction, ...], level: int) -> np.ndarray:
     """Integer corners of the covering cubes, in cubes_covering_domain's
     order; one row per cube."""

@@ -30,14 +30,13 @@ import numpy as np
 from ._version import __version__
 from .bodies import ConvexBody, minkowski_sum, support_batch
 from .fields import (
-    NormField,
     SetField,
     cell_magnitudes,
     random_simple_field,
     values_distribution,
     values_lp_norm,
 )
-from .grids import DyadicDomain, grid_translations, verify_nesting, verify_tiling
+from .grids import DyadicDomain, _cube_cells, grid_translations, verify_nesting, verify_tiling
 from .matrices import MatrixField, gm_double_dual_norm, random_spd_matrix
 from .operators import (
     ExponentConfig,
@@ -46,9 +45,8 @@ from .operators import (
     scalar_frac_maximal,
     sublinearity_check,
 )
-from .seminorms import DualNorm, GaugeNorm, direction_grid
+from .seminorms import DualNorm, GaugeNorm, direction_grid, inner_duals
 from .weights import (
-    _cube_cells,
     ap_matrix_constant,
     averaging_norms,
     averaging_sup_ratio,
@@ -492,10 +490,10 @@ def run_riesz_thorin(config: ExperimentConfig) -> ExperimentReport:
         for k, name in enumerate(config.fixtures):
             mf0, mf1 = _fixture_pair(name, domain)
             fixture_nq[k].append(_nq_interpolation(mf0, mf1, t))
-            rho = NormField.gm_double_dual(mf0, mf1, t, directions=directions)
-            if rho.dim not in samples:
-                samples[rho.dim] = _averaging_samples(config, domain, rho.dim, trials)
-            fixture_sups[k].append(averaging_sup_ratio(rho, p, samples[rho.dim]))
+            inner = inner_duals(mf0.stack(), mf1.stack(), t, directions)
+            if mf0.dim not in samples:
+                samples[mf0.dim] = _averaging_samples(config, domain, mf0.dim, trials)
+            fixture_sups[k].append(averaging_sup_ratio(domain, inner, p, samples[mf0.dim]))
             if lvl == ladder[-1]:
                 fixture_endpoints[k] = {
                     "p0": ap_matrix_constant(mf0, p0),

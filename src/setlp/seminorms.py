@@ -14,13 +14,17 @@ by a vectorized golden-section (circle) or compass (sphere) polish, which
 brings the values to ~1e-12 relative accuracy so the double-dual ordering
 and cross-checks hold at the advertised tolerances.
 
-The double dual of the weighted geometric mean p_t = p0^(1-t) * p1^t is
-evaluated as max_i |<v, u_i>| / p_t*(u_i) over a fixed direction grid.
-For matrix factors the inner duals p_t*(u_i) are exact: the Lagrange conditions
-of the ratio reduce to one polynomial of degree 2d - 1 per direction, and every
-real root in the interval that holds its variable is tried (``_matrix_mean_duals``,
-one batched solve per stack of factor pairs: closed-form at d = 2, bracketed
-between the derivative's roots, found the same way, above).  With fixed
+The double dual of the weighted geometric mean p_t = |A0 .|^(1-t) |A1 .|^t
+of two matrix norms is evaluated as max_i |<v, u_i>| / p_t*(u_i) over a
+fixed direction grid.  The inner duals p_t*(u_i) are exact and come from one
+function, ``inner_duals``, for a whole (m, d, d) stack of factor pairs: a
+read-only (m, directions) array, each distinct pair solved once.  At d = 1
+they have a closed form; above it the Lagrange conditions of the ratio reduce
+to one polynomial of degree 2d - 1 per direction, and every real root in the
+interval that holds its variable is tried (``_matrix_mean_duals``: closed-form
+at d = 2, bracketed between the derivative's roots, found the same way, above).
+A field of double duals is those rows, one per cell; ``GeometricMeanDoubleDual``
+is the evaluator of one pair, its row from a stack of one.  With fixed
 denominators the evaluator is a max of absolute linear functionals, hence a
 genuine norm, and the pointwise bound double_dual(v) <= p_t(v) is inherited
 from |<v,u>| <= p_t(v) p_t*(u).
@@ -312,8 +316,16 @@ def _matrix_mean_duals(A0, A1, t: float, U) -> np.ndarray:
     sum_i a_i^2 (s - sigma_i^2) prod_{j != i} ((1-t) s + t sigma_j^2)^2
     in [sigma_min^2, sigma_max^2], solved there for the whole stack at once.
     Each candidate, a root or an end, is an attained ratio, so the max over
-    candidates is the supremum.  Read-only result.
+    candidates is the supremum.  At d = 1, p_t(w) = |a0|^(1-t) |a1|^t |w| and
+    p_t*(u) = |u| / (|a0|^(1-t) |a1|^t).  Read-only result.
     """
+    if U.shape[1] == 1:
+        mean = np.abs(A0[:, :, 0]) ** (1.0 - t) * np.abs(A1[:, :, 0]) ** t  # (m, 1)
+        if not np.all(mean > 0.0):
+            raise DegenerateSeminormError("singular factor: unit ball unbounded")
+        best = np.abs(U.T) / mean
+        best.setflags(write=False)
+        return best
     try:
         inv0 = np.linalg.inv(A0)
     except np.linalg.LinAlgError as exc:
@@ -344,6 +356,29 @@ def _matrix_mean_duals(A0, A1, t: float, U) -> np.ndarray:
     return best
 
 
+def inner_duals(A0, A1, t: float, directions: int | None = None) -> np.ndarray:
+    """p_t*(u_i) = sup_w |<u_i, w>| / (|A0[k] w|^(1-t) |A1[k] w|^t) for every
+    factor pair k of the (m, d, d) stacks A0, A1 and every direction u_i of
+    direction_grid(d, directions): a read-only (m, len(grid)) array.
+
+    Each distinct pair (equal bytes in both factors) is solved once, in one
+    ``_matrix_mean_duals`` batch, so equal pairs share bit-identical rows and
+    a row does not depend on the rest of the stack.
+    """
+    A0, A1 = np.asarray(A0, dtype=float), np.asarray(A1, dtype=float)
+    if A0.ndim != 3 or A0.shape != A1.shape or A0.shape[1] != A0.shape[2]:
+        raise ValueError(f"expected two (m, d, d) factor stacks, got {A0.shape} and {A1.shape}")
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"interpolation parameter must lie strictly in (0, 1), got {t}")
+    first = {}  # the first cell of every distinct pair
+    pick = [first.setdefault((a.tobytes(), b.tobytes()), k) for k, (a, b) in enumerate(zip(A0, A1))]
+    cells, rows = np.unique(pick, return_inverse=True)
+    grid = direction_grid(A0.shape[2], directions)
+    inner = _matrix_mean_duals(A0[cells], A1[cells], float(t), grid)[rows]
+    inner.setflags(write=False)
+    return inner
+
+
 # -- evaluator hierarchy --------------------------------------------------
 
 
@@ -354,9 +389,6 @@ class HomogeneousFunctional:
 
     def values(self, V) -> np.ndarray:
         raise NotImplementedError
-
-    def value(self, v) -> float:
-        return float(self.values(np.atleast_2d(np.asarray(v, dtype=float)))[0])
 
 
 class Seminorm(HomogeneousFunctional):
@@ -483,45 +515,25 @@ class WeightedGeometricMean(HomogeneousFunctional):
 
 
 class GeometricMeanDoubleDual(Seminorm):
-    """Double dual of the weighted geometric mean of two seminorms.
+    """Double dual of the weighted geometric mean of two matrix-induced norms.
 
     The inner dual values p_t*(u_i) on the direction grid are the exact
-    suprema, by the closed form in dimension 1 and by the critical-point
-    solve of ``_matrix_mean_duals`` above, which needs both factors to be
-    matrix-induced.  With those fixed denominators the evaluator is a max
-    of absolute linear functionals, hence a norm, and is bounded above by
-    the raw geometric mean pointwise.  The read-only arrays ``grid`` (the
-    u_i) and ``inner`` (the p_t*(u_i)) give it in closed form.
+    suprema from ``inner_duals`` on a stack of one pair, so a cell of a
+    batched solve and the same pair built alone carry the same bits.  With
+    those fixed denominators the evaluator is a max of absolute linear
+    functionals, hence a norm, and is bounded above by the raw geometric
+    mean pointwise.  The read-only arrays ``grid`` (the u_i) and ``inner``
+    (the p_t*(u_i)) give it in closed form.
     """
 
     def __init__(self, p0: Seminorm, p1: Seminorm, t: float, *, directions: int | None = None):
-        self._set_factors(p0, p1, t, directions)
-        if self.dim == 1:
-            self.inner = dual_values(self.mean.values, 1, self.grid)
-            self.inner.setflags(write=False)
-        elif getattr(p0, "matrix", None) is None or getattr(p1, "matrix", None) is None:
-            raise TypeError("a double dual in dimension >= 2 needs matrix-induced factors")
-        else:
-            self.inner = _matrix_mean_duals(p0.matrix[None], p1.matrix[None], self.t, self.grid)[0]
-
-    @classmethod
-    def from_matrix_stacks(cls, A0, A1, t: float, *, directions: int | None = None) -> list:
-        """Double duals of |A0[i] .| and |A1[i] .| as the constructor's; at d >= 2 one solve."""
-        if A0.shape[-1] == 1:
-            return [cls(MatrixNorm(a), MatrixNorm(b), t, directions=directions)
-                    for a, b in zip(A0, A1)]
-        duals = [cls.__new__(cls)._set_factors(MatrixNorm(a), MatrixNorm(b), t, directions)
-                 for a, b in zip(A0, A1)]
-        for dd, inner in zip(duals, _matrix_mean_duals(A0, A1, duals[0].t, duals[0].grid)):
-            dd.inner = inner
-        return duals
-
-    def _set_factors(self, p0, p1, t, directions):
         self.mean = WeightedGeometricMean(p0, p1, t)
-        self.p0, self.p1, self.t, self.dim = p0, p1, float(t), p0.dim
+        self.p0, self.p1, self.t, self.dim = p0, p1, self.mean.t, p0.dim
         self.directions = directions if directions is not None else DEFAULT_DIRECTIONS[self.dim]
         self.grid = direction_grid(self.dim, self.directions)
-        return self
+        if getattr(p0, "matrix", None) is None or getattr(p1, "matrix", None) is None:
+            raise TypeError("a double dual needs matrix-induced factors")
+        self.inner = inner_duals(p0.matrix[None], p1.matrix[None], self.t, self.directions)[0]
 
     def values(self, V):
         return self._ratios(V).max(axis=1)

@@ -28,18 +28,11 @@ import math
 
 import numpy as np
 
-from .fields import NormField, values_lp_norm
-from .grids import DyadicDomain, _ancestor_ids, dyadic_cube_family
+from .fields import values_lp_norm
+from .grids import DyadicDomain, _cube_cells, dyadic_cube_family
 from .matrices import MatrixField, _opnorm_2x2, mean_stack, operator_norms
 from .operators import aligned_cells
-from .seminorms import GeometricMeanDoubleDual
-
-
-def _cube_cells(n: int, k: int, j: int) -> np.ndarray:
-    """Cells of every aligned level-j cube of a level-k grid, one row per
-    cube in row-major cube order, each row in row-major cell order: a
-    stable sort of the cells by their ancestor cube."""
-    return np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
+from .seminorms import direction_grid
 
 
 _OPNORM_CHUNK = 128  # rows of the pairwise operator-norm matrix built at once
@@ -267,36 +260,38 @@ def classical_ap_constant(weight_values, domain: DyadicDomain, p: float) -> floa
     return best
 
 
-def averaging_sup_ratio(rho: NormField, p: float, fields) -> float:
+def averaging_sup_ratio(domain: DyadicDomain, inner, p: float, fields) -> float:
     """sup over fields F and aligned cubes Q of ||A_Q F|| / ||F||, both
     norms taken in the rho-weighted L^p, A_Q F being the cube average on Q
     and zero elsewhere.  Finiteness of the sup is the operational content
     of the averaging characterization.
 
-    rho must hold double duals on one grid (TypeError otherwise): maxima of
-    |<v, u_i>| / inner_x[i], so rho_x(K) is exactly max_i h_K(u_i) / inner_x[i],
-    h_K the support function.  That of an Aumann average is the average of
-    its cells' (Rockafellar, Convex Analysis, 1970), so one support row per
-    cell gives every rho_x(A_Q F), with no body formed.
+    rho is a field of geometric-mean double duals given by its inner duals,
+    one row per cell of ``domain`` on direction_grid(d, inner.shape[1]), as
+    ``seminorms.inner_duals`` returns them: rho_x(v) = max_i |<v, u_i>| /
+    inner[x, i], so rho_x(K) is exactly max_i h_K(u_i) / inner[x, i], h_K the
+    support function.  That of an Aumann average is the average of its
+    cells' (Rockafellar, Convex Analysis, 1970), so one support row per cell
+    gives every rho_x(A_Q F), with no body formed.
     """
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    if not all(isinstance(r, GeometricMeanDoubleDual) for r in rho.norms):
-        raise TypeError("support rows need a geometric-mean double dual in every cell")
-    grid = rho.norms[0].grid
-    if not all(r.grid is grid or np.array_equal(r.grid, grid) for r in rho.norms):
-        raise TypeError("the cells' double duals use different direction grids")
-    inner = np.stack([r.inner for r in rho.norms])
-    domain = rho.domain
+    if np.ndim(inner) != 2 or len(inner) != domain.num_cells:
+        raise ValueError(f"expected one row of inner duals per cell, {domain.num_cells} "
+                         f"rows, got shape {np.shape(inner)}")
     k, n, vol = domain.level, domain.n, domain.cell_volume
     children = [_cube_cells(n, j + 1, j) for j in range(k)]
     cube_inner = [inner[_cube_cells(n, k, j)] for j in range(k + 1)]
     sup = 0.0
     for field in fields:
         if field.domain != domain:
-            raise ValueError("norm field grid does not match the set field")
+            raise ValueError("the set field lives on another grid")
         G = field.generators
+        grid = direction_grid(G.shape[2], inner.shape[1])
+        if len(grid) != inner.shape[1]:
+            raise ValueError(f"{inner.shape[1]} inner duals per cell, but the "
+                             f"{G.shape[2]}-dimensional grid has {len(grid)} directions")
         dots = np.abs(G.reshape(-1, G.shape[2]) @ grid.T)
         sums = dots.reshape(len(G), -1, len(grid)).max(axis=1)  # h_{F(x)}(u_i)
         base = values_lp_norm((sums / inner).max(axis=1), p, vol)

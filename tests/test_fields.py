@@ -136,42 +136,45 @@ def test_weighted_lp_norm_uses_cell_norms():
     assert lp_norm(F, 2.0, rho) == pytest.approx(want, rel=1e-12)
 
 
-def test_gm_double_dual_field_shares_one_norm_per_distinct_cell_pair():
+def _repeating_pairs(dim):
+    """Two matrix fields on eight cells holding four distinct cell pairs."""
     domain = DyadicDomain(1, 3)
     rng = np.random.default_rng(12)
-    a, b, c = (random_spd_matrix(rng, 2) for _ in range(3))
-    mf0 = MatrixField(domain, [a, a, b, b, a, a, b, b])
-    mf1 = MatrixField(domain, [c, c, c, c, a, a, a, a])
-    rho = NormField.gm_double_dual(mf0, mf1, 0.5, directions=120)
-    assert len({id(nm) for nm in rho.norms}) == 4
+    a, b, c = (random_spd_matrix(rng, dim) for _ in range(3))
+    return (MatrixField(domain, [a, a, b, b, a, a, b, b]),
+            MatrixField(domain, [c, c, c, c, a, a, a, a]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_equal_pairs_share_the_bits_of_the_pair_built_alone(dim):
+    mf0, mf1 = _repeating_pairs(dim)
+    inner = seminorms.inner_duals(mf0.stack(), mf1.stack(), 0.5, 120)
+    assert inner.shape == (8, len(direction_grid(dim, 120))) and not inner.flags.writeable
+    assert len({row.tobytes() for row in inner}) == 4
     for i in range(0, 8, 2):
-        assert rho.norms[i] is rho.norms[i + 1]
-    V = rng.standard_normal((30, 2))
-    for x, y, nm in zip(mf0.cells, mf1.cells, rho.norms):
-        alone = GeometricMeanDoubleDual(MatrixNorm(x.arr), MatrixNorm(y.arr), 0.5, directions=120)
-        assert np.array_equal(nm.values(V), alone.values(V))
+        assert inner[i].tobytes() == inner[i + 1].tobytes()
+    for x, y, row in zip(mf0.stack(), mf1.stack(), inner):
+        alone = GeometricMeanDoubleDual(MatrixNorm(x), MatrixNorm(y), 0.5, directions=120)
+        assert alone.inner.tobytes() == row.tobytes()
 
 
-def test_gm_double_dual_solves_each_field_in_one_call(monkeypatch):
+def test_inner_duals_solve_each_field_in_one_call_of_its_distinct_pairs(monkeypatch):
     stacks = []
     solve = seminorms._matrix_mean_duals
 
     def counting(A0, A1, t, U):
-        stacks.append(len(A0))
+        stacks.append((len(A0), len({(a.tobytes(), b.tobytes()) for a, b in zip(A0, A1)})))
         return solve(A0, A1, t, U)
 
     monkeypatch.setattr(seminorms, "_matrix_mean_duals", counting)
-    domain = DyadicDomain(1, 3)
-    rng = np.random.default_rng(12)
-    a, b, c = (random_spd_matrix(rng, 2) for _ in range(3))
-    NormField.gm_double_dual(MatrixField(domain, [a, a, b, b, a, a, b, b]),
-                             MatrixField(domain, [c, c, c, c, a, a, a, a]), 0.5, directions=120)
-    assert stacks == [4]  # the four distinct cell pairs, together
-    # riesz-thorin at level 3: 3 levels x the 3 fixtures with d >= 2
+    for dim in (1, 2, 3):
+        seminorms.inner_duals(*(mf.stack() for mf in _repeating_pairs(dim)), 0.5, 120)
+    assert stacks == [(4, 4)] * 3  # the four distinct cell pairs, together
+    # riesz-thorin at level 3: 3 levels x the 4 fixtures, d = 1 included
     stacks.clear()
     config = ExperimentConfig(seed=7, level=3, trials=2, directions=60)
     assert run_riesz_thorin(config).passed
-    assert len(stacks) == 9
+    assert len(stacks) == 12 and all(size == distinct for size, distinct in stacks)
 
 
 def test_distribution_counts_match_brute_force():
@@ -222,3 +225,10 @@ def test_generator_array_validation():
         SetField.from_generators(domain, np.full((4, 1, 2), np.nan))
     with pytest.raises(ValueError):
         SetField.from_generators(domain, np.ones((4, 2, 2))).generators[0, 0, 0] = 2.0
+    # the constructor takes the array itself, validated and copied the same way
+    with pytest.raises(ValueError, match="generator array"):
+        SetField(domain, np.ones((3, 2, 2)))
+    G = np.ones((4, 2, 2))
+    field = SetField(domain, G)
+    G[0, 0, 0] = 2.0
+    assert field.generators[0, 0, 0] == 1.0 and not field.generators.flags.writeable

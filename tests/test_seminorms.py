@@ -3,6 +3,8 @@ import pytest
 
 from setlp import seminorms
 from setlp.bodies import ConvexBody
+from setlp.grids import DyadicDomain
+from setlp.harness import _fixture_pair
 from setlp.matrices import random_spd_matrix
 from setlp.seminorms import (
     DegenerateSeminormError,
@@ -17,6 +19,7 @@ from setlp.seminorms import (
     _monic_roots_on,
     direction_grid,
     dual_values,
+    inner_duals,
 )
 
 RNG = np.random.default_rng(21)
@@ -222,6 +225,37 @@ def test_scalar_double_dual_keeps_its_closed_form_bit_for_bit():
     assert np.array_equal(got, [3.8397795805533077, 0.9034775483654842])
 
 
+def _search_route_scalar_duals(a, b, t):
+    """The inner dual of a d = 1 pair as the constructor once computed it:
+    the grid search's d = 1 branch on the raw geometric mean."""
+    mean = WeightedGeometricMean(MatrixNorm([[a]]), MatrixNorm([[b]]), t)
+    return dual_values(mean.values, 1, [[1.0]])[0]
+
+
+def test_scalar_inner_duals_are_bitwise_the_search_route():
+    mf0, mf1 = _fixture_pair("two_scales", DyadicDomain(1, 3))
+    rng = np.random.default_rng(33)
+    cases = [(mf0.stack(), mf1.stack(), t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    for t in rng.uniform(0.01, 0.99, 20):
+        signs = rng.choice([-1.0, 1.0], (2, 50, 1, 1))
+        A0, A1 = signs * np.exp(rng.uniform(-6.0, 6.0, (2, 50, 1, 1)))  # e^-6 to e^6
+        cases.append((A0, A1, float(t)))
+    for A0, A1, t in cases:
+        got = inner_duals(A0, A1, t)
+        assert got.shape == (len(A0), 1)
+        want = [_search_route_scalar_duals(a[0, 0], b[0, 0], t) for a, b in zip(A0, A1)]
+        assert got[:, 0].tobytes() == np.array(want).tobytes()
+
+
+def test_inner_duals_reject_a_zero_scalar_factor_and_bad_shapes():
+    with pytest.raises(DegenerateSeminormError):
+        inner_duals(np.array([[[2.0]], [[0.0]]]), np.ones((2, 1, 1)), 0.5)
+    with pytest.raises(ValueError, match="factor stacks"):
+        inner_duals(np.ones((2, 1, 1)), np.ones((3, 1, 1)), 0.5)
+    with pytest.raises(ValueError, match="strictly"):
+        inner_duals(np.ones((2, 1, 1)), np.ones((2, 1, 1)), 1.0)
+
+
 def test_double_dual_in_the_plane_needs_matrix_factors():
     with pytest.raises(TypeError):
         GeometricMeanDoubleDual(EuclideanNorm(2), MatrixNorm(np.eye(2)), 0.5)
@@ -364,13 +398,13 @@ def test_stacked_inner_duals_match_the_per_pair_companion_solve(dim):
     A0, A1 = (np.array(side) for side in zip(*pairs))
     stacked = _matrix_mean_duals(A0, A1, t, U)
     assert stacked.shape == (8, 240) and not stacked.flags.writeable
-    built = GeometricMeanDoubleDual.from_matrix_stacks(A0, A1, t, directions=240)
-    for (a, b), row, dd in zip(pairs, stacked, built):
+    deduped = inner_duals(A0, A1, t, 240)
+    for (a, b), row, solved in zip(pairs, stacked, deduped):
         want = _reference_inner_duals(a, b, t, U)
         assert np.abs(row / want - 1.0).max() < 1e-14
         # a stack of one gives the same bits as a row of the stack
         alone = GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), t, directions=240)
-        assert np.array_equal(alone.inner, row) and np.array_equal(dd.inner, row)
+        assert np.array_equal(alone.inner, row) and np.array_equal(solved, row)
 
 
 @pytest.mark.parametrize("spread", [0.3, 0.8, 1.5, 2.5, 4.0])
@@ -395,8 +429,8 @@ def test_double_duals_solve_no_eigenvalue_problem(dim, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     rng = np.random.default_rng(95 + dim)
     A0, A1 = (np.array([random_spd_matrix(rng, dim).arr for _ in range(3)]) for _ in range(2))
-    for dd in GeometricMeanDoubleDual.from_matrix_stacks(A0, A1, 0.4, directions=64):
-        assert np.all(np.isfinite(dd.inner)) and np.all(dd.inner > 0.0)
+    inner = inner_duals(A0, A1, 0.4, 64)
+    assert np.all(np.isfinite(inner)) and np.all(inner > 0.0)
 
 
 @pytest.mark.parametrize("singular", ["A0", "A1"])
@@ -410,4 +444,4 @@ def test_a_singular_factor_anywhere_in_a_stack_is_rejected(singular, position):
     with pytest.raises(DegenerateSeminormError):
         _matrix_mean_duals(A0, A1, 0.5, direction_grid(2, 16))
     with pytest.raises(DegenerateSeminormError):
-        GeometricMeanDoubleDual.from_matrix_stacks(A0, A1, 0.5, directions=16)
+        inner_duals(A0, A1, 0.5, 16)

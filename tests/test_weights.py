@@ -9,7 +9,13 @@ from setlp.grids import DyadicDomain, dyadic_cube_family
 from setlp.matrices import MatrixField, SpdMatrix, operator_norms
 from setlp.harness import ExperimentConfig, _averaging_samples, _fixture_pair
 from setlp.operators import aligned_cells, frac_average
-from setlp.seminorms import DualNorm, MatrixNorm, direction_grid
+from setlp.seminorms import (
+    DualNorm,
+    GeometricMeanDoubleDual,
+    MatrixNorm,
+    direction_grid,
+    inner_duals,
+)
 from setlp.weights import (
     FIXTURE_CONDITION_CAP,
     _pairwise_opnorms,
@@ -249,9 +255,13 @@ def test_reverse_factorization_validation():
             reverse_factorization(W, W, t)
 
 
-def _reference_sup_ratio(rho, p, fields):
-    """The sup ratio with every cube average rebuilt through frac_average."""
-    domain = rho.domain
+def _reference_sup_ratio(pair, p, fields):
+    """The sup ratio with rho built cell by cell through the public
+    constructor and every cube average rebuilt through frac_average."""
+    domain = pair[0].domain
+    rho = NormField(domain, [GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), 0.5,
+                                                     directions=120)
+                             for a, b in zip(*(mf.stack() for mf in pair))])
     vol = domain.cell_volume
     sup = 0.0
     for field in fields:
@@ -264,12 +274,13 @@ def _reference_sup_ratio(rho, p, fields):
 
 
 def _scan_inputs(n, name="rotated"):
-    """A double-dual norm field of one riesz-thorin fixture pair on a level-3
-    grid, and the suite's four trial fields (smooth, smooth, spike,
-    checkerboard) of its value dimension."""
+    """One riesz-thorin fixture pair on a level-3 grid, the inner duals of its
+    double-dual norm field, and the suite's four trial fields (smooth, smooth,
+    spike, checkerboard) of its value dimension."""
     domain = DyadicDomain(n, 3)
-    rho = NormField.gm_double_dual(*_fixture_pair(name, domain), 0.5, directions=120)
-    return rho, _averaging_samples(ExperimentConfig(seed=9), domain, rho.dim, 4)
+    pair = _fixture_pair(name, domain)
+    inner = inner_duals(pair[0].stack(), pair[1].stack(), 0.5, 120)
+    return pair, inner, _averaging_samples(ExperimentConfig(seed=9), domain, pair[0].dim, 4)
 
 
 def test_averaging_sup_ratio_equals_per_cube_averages_on_the_line():
@@ -278,54 +289,58 @@ def test_averaging_sup_ratio_equals_per_cube_averages_on_the_line():
     # the planar Minkowski sum walks its edges with a running sum, so its
     # vertices round apart from the averaged support rows.
     for name, exact in (("two_scales", True), ("rotated", False)):
-        rho, fields = _scan_inputs(1, name)
+        pair, inner, fields = _scan_inputs(1, name)
+        domain = pair[0].domain
         for field in fields:
-            got = averaging_sup_ratio(rho, 2.0, [field])
-            want = _reference_sup_ratio(rho, 2.0, [field])
+            got = averaging_sup_ratio(domain, inner, 2.0, [field])
+            want = _reference_sup_ratio(pair, 2.0, [field])
             assert got == (want if exact else pytest.approx(want, rel=1e-12, abs=0.0))
             assert math.isfinite(got) and got > 0.0
-        assert averaging_sup_ratio(rho, 2.0, fields) == max(
-            averaging_sup_ratio(rho, 2.0, [field]) for field in fields)
+        assert averaging_sup_ratio(domain, inner, 2.0, fields) == max(
+            averaging_sup_ratio(domain, inner, 2.0, [field]) for field in fields)
 
 
 def test_averaging_sup_ratio_matches_per_cube_averages_in_the_plane():
     for name in ("two_scales", "rotated"):
-        rho, fields = _scan_inputs(2, name)
+        pair, inner, fields = _scan_inputs(2, name)
         for field in fields:
-            want = _reference_sup_ratio(rho, 2.0, [field])
-            assert averaging_sup_ratio(rho, 2.0, [field]) == pytest.approx(
+            want = _reference_sup_ratio(pair, 2.0, [field])
+            assert averaging_sup_ratio(pair[0].domain, inner, 2.0, [field]) == pytest.approx(
                 want, rel=1e-12, abs=0.0)
 
 
 def test_averaging_sup_ratio_reads_a_body_field_through_padded_generators():
     # cells of up to three generators: the origin cell and the shorter
     # lists are padded with zero rows, which no support row can exceed
-    rho, _ = _scan_inputs(1)
+    pair, inner, _ = _scan_inputs(1)
+    domain = pair[0].domain
     rng = np.random.default_rng(13)
-    cells = [ConvexBody(2, rng.standard_normal((i % 4, 2))) for i in range(rho.domain.num_cells)]
-    field = SetField(rho.domain, cells)
+    cells = [ConvexBody(2, rng.standard_normal((i % 4, 2))) for i in range(domain.num_cells)]
+    field = SetField(domain, cells)
     counts = {c.num_generators for c in cells}
     assert min(counts) == 0 and max(counts) == field.generators.shape[1] and len(counts) > 2
-    got = averaging_sup_ratio(rho, 2.0, [field])
-    assert got == pytest.approx(_reference_sup_ratio(rho, 2.0, [field]), rel=1e-12, abs=0.0)
+    got = averaging_sup_ratio(domain, inner, 2.0, [field])
+    assert got == pytest.approx(_reference_sup_ratio(pair, 2.0, [field]), rel=1e-12, abs=0.0)
 
 
 def test_averaging_sup_ratio_rejects_bad_exponents():
-    rho, fields = _scan_inputs(1)
+    pair, inner, fields = _scan_inputs(1)
     for p in (0.5, math.inf):
         with pytest.raises(ValueError):
-            averaging_sup_ratio(rho, p, fields)
+            averaging_sup_ratio(pair[0].domain, inner, p, fields)
 
 
-def test_averaging_sup_ratio_needs_double_duals_on_one_grid():
-    rho, fields = _scan_inputs(1)
-    W = fixture_weights("rotated_diag", {"spread": 0.5}, rho.domain)
-    with pytest.raises(TypeError, match="double dual"):
-        averaging_sup_ratio(NormField(rho.domain, [MatrixNorm(m) for m in W.stack()]),
-                            2.0, fields)
-    mixed = NormField(rho.domain, rho.norms[:-1] + (rho.norms[-1].on_subgrid(60),))
-    with pytest.raises(TypeError, match="direction grids"):
-        averaging_sup_ratio(mixed, 2.0, fields)
+def test_averaging_sup_ratio_rejects_a_field_or_inner_duals_off_its_grid():
+    pair, inner, fields = _scan_inputs(1)
+    domain = pair[0].domain
+    with pytest.raises(ValueError, match="another grid"):
+        averaging_sup_ratio(DyadicDomain(1, 2), inner[::2], 2.0, fields)
+    for rows in (inner[:-1], inner[:, 0]):
+        with pytest.raises(ValueError, match="one row of inner duals per cell"):
+            averaging_sup_ratio(domain, rows, 2.0, fields)
+    line = _averaging_samples(ExperimentConfig(seed=9), domain, 1, 1)
+    with pytest.raises(ValueError, match="120 inner duals per cell"):
+        averaging_sup_ratio(domain, inner, 2.0, line)
 
 
 def test_norm_check_on_the_interpolated_rotated_weight():
