@@ -37,7 +37,7 @@ from .fields import (
     values_lp_norm,
 )
 from .grids import DyadicDomain, _cube_cells, grid_translations, verify_nesting, verify_tiling
-from .matrices import MatrixField, gm_double_dual_norm, random_spd_matrix
+from .matrices import MatrixField, mean_stack, random_spd_matrix, spd_stack
 from .operators import (
     ExponentConfig,
     cube_magnitudes,
@@ -45,7 +45,7 @@ from .operators import (
     scalar_frac_maximal,
     sublinearity_check,
 )
-from .seminorms import DualNorm, GaugeNorm, direction_grid, inner_duals
+from .seminorms import DualNorm, GaugeNorm, direction_grid, inner_duals, nested_maxima
 from .weights import (
     ap_matrix_constant,
     averaging_norms,
@@ -537,49 +537,64 @@ def run_riesz_thorin(config: ExperimentConfig) -> ExperimentReport:
 # sandwich between the double-dual norm and the matrix norm of the mean
 
 
+def _comparability_draw(seed: int, pair_idx: int, d: int) -> tuple:
+    """The two factors and the 1000 unit probes of one comparability pair."""
+    rng = _trial_rng(seed, 9000 + pair_idx)
+    w0 = random_spd_matrix(rng, d, spread=0.8)
+    w1 = random_spd_matrix(rng, d, spread=0.8)
+    probe = rng.standard_normal((1000, d))
+    probe /= np.linalg.norm(probe, axis=1, keepdims=True)
+    return w0.arr, w1.arr, probe
+
+
 def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     """Double-dual versus matrix norm of the interpolated mean.
 
     Per pair the true ratio is enclosed in [c1, c2]: c1 from the grid
     double dual (an inner approximation) and c2 from the mean norm itself,
-    which dominates its own double dual.  Each pair is solved once, on the
-    finest grid; the coarser grids are nested in it and share its
-    denominators, so their double duals are maxima over subsets of the
-    same functionals, read off products of 64-probe blocks with the finest
-    grid.  The certified width c2/c1 therefore never grows as the grid
-    doubles, exactly, and ordering on the finest grid implies it on the
-    coarser ones.  The raw measured spread is kept alongside.
+    which dominates its own double dual.  The pairs of each d are drawn into
+    (10, d, d) stacks, whose mean matrices come from one mean_stack chain.
+    Each pair's inner duals are solved once, on the finest grid; the coarser
+    grids are nested in it and share its denominators, so their double duals
+    are maxima over subsets of the same functionals, read off one product of
+    each 64-probe block with the finest grid reordered so that every coarser
+    grid is a prefix (seminorms.nested_maxima).  The certified width c2/c1
+    therefore never grows as the grid doubles, exactly, and ordering on the
+    finest grid implies it on the coarser ones.  The raw measured spread is
+    kept alongside.
     """
     t = config.ts[len(config.ts) // 2]
     grids = (360, 720, 1440)
     records = []
     ok_all = True
-    for pair_idx in range(20):
-        d = 2 if pair_idx < 10 else 3
-        rng = _trial_rng(config.seed, 9000 + pair_idx)
-        w0 = random_spd_matrix(rng, d, spread=0.8)
-        w1 = random_spd_matrix(rng, d, spread=0.8)
-        probe = rng.standard_normal((1000, d))
-        probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-        pair = gm_double_dual_norm(w0, w1, t, directions=grids[-1])
-        cmp_vals = pair.comparison.values(probe)
-        upper = pair.double_dual.mean_values(probe)
-        c2 = float((upper / cmp_vals).max())
-        widths = []
-        ordering_ok = True
-        for dd in pair.double_dual.nested_values(probe, grids):
-            ordering_ok = ordering_ok and bool(np.all(dd <= upper * (1.0 + BOUND_SLACK)))
-            ratio = dd / cmp_vals
-            widths.append(c2 / float(ratio.min()))
-        spread = float(ratio.max() / ratio.min())
-        shrinks = all(widths[i + 1] <= widths[i] * (1.0 + BOUND_SLACK)
-                      for i in range(len(widths) - 1))
-        ok = shrinks and ordering_ok and widths[-1] < 10.0
-        ok_all = ok_all and ok
-        records.append({
-            "pair": pair_idx, "d": d, "widths": widths, "measured_spread": spread,
-            "ordering_ok": ordering_ok, "ok": ok,
-        })
+    for d, pairs in ((2, range(10)), (3, range(10, 20))):
+        W0, W1, probes = map(np.stack, zip(*[_comparability_draw(config.seed, k, d)
+                                             for k in pairs]))
+        mean = mean_stack(spd_stack(W0).power(2.0), spd_stack(W1).power(2.0), t)
+        cmp_vals = np.linalg.norm(probes @ np.swapaxes(mean.power(0.5).arr, 1, 2), axis=2)
+        upper = (np.linalg.norm(probes @ np.swapaxes(W0, 1, 2), axis=2) ** (1.0 - t)
+                 * np.linalg.norm(probes @ np.swapaxes(W1, 1, 2), axis=2) ** t)
+        # one pair per solve: a stack of ten peaks near 8 MB at d = 3
+        inner = np.concatenate([inner_duals(W0[k:k + 1], W1[k:k + 1], t, grids[-1])
+                                for k in range(len(W0))])
+        maxima = nested_maxima(probes, inner, grids)
+        for pair_idx, cmp, up, duals in zip(pairs, cmp_vals, upper, maxima):
+            c2 = float((up / cmp).max())
+            widths = []
+            ordering_ok = True
+            for dd in duals:
+                ordering_ok = ordering_ok and bool(np.all(dd <= up * (1.0 + BOUND_SLACK)))
+                ratio = dd / cmp
+                widths.append(c2 / float(ratio.min()))
+            spread = float(ratio.max() / ratio.min())
+            shrinks = all(widths[i + 1] <= widths[i] * (1.0 + BOUND_SLACK)
+                          for i in range(len(widths) - 1))
+            ok = shrinks and ordering_ok and widths[-1] < 10.0
+            ok_all = ok_all and ok
+            records.append({
+                "pair": pair_idx, "d": d, "widths": widths, "measured_spread": spread,
+                "ordering_ok": ordering_ok, "ok": ok,
+            })
     return records, ok_all
 
 

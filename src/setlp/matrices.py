@@ -19,13 +19,11 @@ inputs themselves and stay out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .grids import DyadicDomain
-from .seminorms import GeometricMeanDoubleDual, MatrixNorm
 
 SYMMETRY_RTOL = 1e-12
 CONDITION_LIMIT = 1e12
@@ -143,33 +141,6 @@ def _opnorm_2x2(a, b, c, e) -> np.ndarray:
     det = a * e - b * c
     disc = np.sqrt(np.maximum(0.0, tr * tr - 4.0 * det * det))
     return np.sqrt(np.maximum(0.0, 0.5 * (tr + disc)))
-
-
-@dataclass(frozen=True)
-class GmNormPair:
-    """Double-dual interpolated norm plus its closed-form comparison norm.
-
-    ``double_dual`` is the double dual of |W0 .|^(1-t) |W1 .|^t and
-    ``comparison`` is the norm induced by (W0^2 mean_t W1^2)^(1/2), the
-    matrix predicted to be equivalent to it.
-    """
-
-    double_dual: GeometricMeanDoubleDual
-    comparison: MatrixNorm
-    mean_matrix: SpdMatrix
-    t: float
-
-
-def gm_double_dual_norm(W0: SpdMatrix, W1: SpdMatrix, t: float, *, directions=None) -> GmNormPair:
-    """Build the geometric-mean double-dual norm and its comparison norm."""
-    if not isinstance(W0, SpdMatrix):
-        W0 = SpdMatrix(W0)
-    if not isinstance(W1, SpdMatrix):
-        W1 = SpdMatrix(W1)
-    dd = GeometricMeanDoubleDual(MatrixNorm(W0.arr), MatrixNorm(W1.arr), t, directions=directions)
-    mean = geometric_mean(W0.power(2.0), W1.power(2.0), t)
-    comparison = MatrixNorm(mean.power(0.5).arr)
-    return GmNormPair(double_dual=dd, comparison=comparison, mean_matrix=mean, t=float(t))
 
 
 def random_spd_matrix(rng: np.random.Generator, d: int, *,

@@ -30,15 +30,13 @@ genuine norm, and the pointwise bound double_dual(v) <= p_t(v) is inherited
 from |<v,u>| <= p_t(v) p_t*(u).
 Direction grids nest: the circle grid of m directions is a stride of any
 grid whose count is m times a power of two, and the sphere grid of m
-directions is a prefix of every larger one.  ``on_subgrid`` reads a
-coarser grid's double dual off a finer solve, sharing its denominators,
-so the coarse evaluator is a max over a subset of the fine one's
+directions is a prefix of every larger one.  ``nested_maxima`` reads the
+coarser grids' double duals off one fine solve, sharing its denominators,
+so each coarse evaluator is a max over a subset of the fine one's
 functionals and monotonicity under refinement holds exactly.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -48,7 +46,7 @@ from .bodies import ConvexBody, gauge, gauge_batch, support_batch
 DEFAULT_DIRECTIONS = {1: 1, 2: 720, 3: 2562}
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_NESTED_BLOCK = 64  # rows per ratio block in nested_values: 0.7 MB at 1440 directions
+_NESTED_BLOCK = 64  # rows per ratio block in nested_maxima: 0.7 MB at 1440 directions
 _ROOT_TOL = 1e-12  # relative step that ends a bracketed root row
 _ROOT_CAP = 64  # iterations; bisection alone narrows a bracket by 2^-64
 
@@ -379,6 +377,55 @@ def inner_duals(A0, A1, t: float, directions: int | None = None) -> np.ndarray:
     return inner
 
 
+def nested_maxima(V, inner, counts) -> np.ndarray:
+    """max_i |<v, u_i>| / inner[k, i] over the directions u_i of
+    direction_grid(d, m), for each m in counts, each pair k and each row v of
+    V[k]: V (K, n, d) probes, inner (K, M) inner duals on the M-direction grid;
+    a (K, len(counts), n) array.
+
+    Each coarse grid must be a set of rows of the fine one, matched value for
+    value through one index sort of the fine rows, and hold every smaller grid
+    of counts, else ValueError.  The fine grid is reordered once so that the
+    grids, by increasing count, are its prefixes: [0::4, 2::4, 1::2] for
+    (360, 720, 1440) on the circle, the identity on the sphere.  Each 64-row
+    block of V[k] takes one product with it; a grid's maximum is the running
+    maximum of the maxima over the contiguous column ranges up to its end.  No
+    block has one row unless V[k] has, as numpy rounds a one-row product
+    differently.
+    """
+    V, inner = np.asarray(V, dtype=float), np.asarray(inner, dtype=float)
+    fine = direction_grid(V.shape[2], inner.shape[1])
+    keys = fine.view(np.dtype((np.void, fine.itemsize * fine.shape[1])))[:, 0]
+    sorter = np.argsort(keys)
+    levels = sorted(set(counts))
+    taken = np.zeros(len(fine), dtype=bool)
+    order = []
+    for m in levels:
+        if m < 1:
+            raise ValueError(f"direction count must be positive, got {m}")
+        coarse = direction_grid(V.shape[2], m)
+        hit = sorter[np.searchsorted(keys, coarse.view(keys.dtype)[:, 0], sorter=sorter)
+                     .clip(max=len(fine) - 1)]
+        order.append(hit[~taken[hit]])
+        taken[hit] = True
+        if not np.array_equal(fine[hit], coarse) or taken.sum() != m:
+            raise ValueError(f"the {m}-direction grid is not nested in "
+                             f"the {len(fine)}-direction grid")
+    order = np.concatenate(order)
+    grid, inner = fine[order], inner[:, order]
+    out = np.empty((len(V), V.shape[1], len(levels)))
+    bounds = [0, *range(_NESTED_BLOCK, V.shape[1] - 1, _NESTED_BLOCK), V.shape[1]]
+    block = np.empty((max(np.diff(bounds)), len(grid)))
+    for probe, den, o in zip(V, inner, out):
+        for lo, hi in zip(bounds, bounds[1:]):
+            ratios = np.matmul(probe[lo:hi], grid.T, out=block[:hi - lo])
+            np.abs(ratios, out=ratios)
+            np.divide(ratios, den, out=ratios)
+            np.maximum.reduceat(ratios, [0, *levels[:-1]], axis=1, out=o[lo:hi])
+            np.maximum.accumulate(o[lo:hi], axis=1, out=o[lo:hi])
+    return out.transpose(0, 2, 1)[:, [levels.index(m) for m in counts]]
+
+
 # -- evaluator hierarchy --------------------------------------------------
 
 
@@ -536,55 +583,10 @@ class GeometricMeanDoubleDual(Seminorm):
         self.inner = inner_duals(p0.matrix[None], p1.matrix[None], self.t, self.directions)[0]
 
     def values(self, V):
-        return self._ratios(V).max(axis=1)
-
-    def _ratios(self, V) -> np.ndarray:
-        """|<v, u_i>| / inner[i] for every row v of V and grid direction u_i."""
+        """max_i |<v, u_i>| / inner[i] for every row v of V."""
         ratios = np.atleast_2d(np.asarray(V, dtype=float)) @ self.grid.T
         np.abs(ratios, out=ratios)
-        return np.divide(ratios, self.inner, out=ratios)
-
-    def on_subgrid(self, directions: int) -> "GeometricMeanDoubleDual":
-        """This double dual on the nested grid of ``directions`` directions.
-
-        The coarse grid is a stride of this one for d = 2 and a prefix for
-        d = 3, and it keeps this solve's denominators, so its values never
-        exceed this evaluator's.  Raises ValueError unless
-        direction_grid(dim, directions) equals that slice bit for bit.
-        """
-        rows = self._nested_rows(directions)
-        sub = copy.copy(self)
-        sub.directions = directions
-        sub.grid = np.ascontiguousarray(self.grid[rows])
-        sub.grid.setflags(write=False)
-        sub.inner = self.inner[rows]
-        return sub
-
-    def nested_values(self, V, counts) -> list:
-        """``on_subgrid(m).values(V)`` for each m in counts: maxima over column
-        slices of the products of row blocks of V with this grid.  No block has
-        one row unless V has, as numpy rounds a one-row product differently."""
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        cols = [self._nested_rows(m) for m in counts]
-        out = [np.empty(len(V)) for _ in cols]
-        bounds = [0, *range(_NESTED_BLOCK, len(V) - 1, _NESTED_BLOCK), len(V)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            ratios = self._ratios(V[lo:hi])
-            for rows, o in zip(cols, out):
-                ratios[:, rows].max(axis=1, out=o[lo:hi])
-        return out
-
-    def _nested_rows(self, directions: int) -> slice:
-        if directions < 1:
-            raise ValueError(f"direction count must be positive, got {directions}")
-        if self.dim == 2 and self.directions % directions == 0:
-            rows = slice(None, None, self.directions // directions)
-        else:
-            rows = slice(None, directions)
-        if not np.array_equal(direction_grid(self.dim, directions), self.grid[rows]):
-            raise ValueError(f"the {directions}-direction grid is not nested in "
-                             f"the {self.directions}-direction grid")
-        return rows
+        return np.divide(ratios, self.inner, out=ratios).max(axis=1)
 
     def mean_values(self, V) -> np.ndarray:
         """The raw geometric mean p_t on a stack of vectors."""

@@ -33,9 +33,15 @@ from setlp.harness import (
     run_marcinkiewicz,
     run_reverse_factorization,
 )
-from setlp.matrices import gm_double_dual_norm, random_spd_matrix
+from setlp.matrices import random_spd_matrix
 from setlp.operators import dyadic_frac_maximal, scalar_frac_maximal
-from setlp.seminorms import DualNorm, MatrixNorm, direction_grid, dual_values
+from setlp.seminorms import (
+    DualNorm,
+    GeometricMeanDoubleDual,
+    MatrixNorm,
+    direction_grid,
+    dual_values,
+)
 
 SEED = 2026
 THIRD = Fraction(1, 3)
@@ -160,9 +166,10 @@ def test_06_norm_duality(capsys):
         probe = rng.standard_normal((1000, d))
         probe /= np.linalg.norm(probe, axis=1, keepdims=True)
         for cell in (0, domain.num_cells // 2):
-            pair = gm_double_dual_norm(mf0.cells[cell], mf1.cells[cell], 0.5)
-            dd = pair.double_dual.values(probe)
-            pt = pair.double_dual.mean_values(probe)
+            norm = GeometricMeanDoubleDual(MatrixNorm(mf0.stack()[cell]),
+                                           MatrixNorm(mf1.stack()[cell]), 0.5)
+            dd = norm.values(probe)
+            pt = norm.mean_values(probe)
             excess = max(excess, float((dd / pt).max()) - 1.0)
     elapsed = time.perf_counter() - start
     ok = dual_gap <= 1e-6 and excess <= 1e-9

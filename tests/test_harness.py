@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from setlp import harness, operators
+from setlp import harness, matrices, operators
 from setlp.bodies import ConvexBody, magnitude
 from setlp.cli import ConfigError, load_config, main
 from setlp.fields import SetField, random_simple_field
@@ -39,11 +39,10 @@ from setlp.harness import (
 from setlp.matrices import (
     MatrixField,
     SpdMatrix,
-    gm_double_dual_norm,
     random_spd_matrix,
     spd_stack,
 )
-from setlp.seminorms import _NESTED_BLOCK
+from setlp.seminorms import _NESTED_BLOCK, direction_grid, inner_duals, nested_maxima
 from setlp.weights import averaging_norms, reverse_factorization
 
 
@@ -307,39 +306,73 @@ def test_riesz_thorin_builds_no_body(monkeypatch, level):
 
 
 def _nested_pair(d):
-    """A 1440-direction double dual and 1000 unit probes, as _comparability_block's."""
+    """1440-direction inner duals and 1000 unit probes, as _comparability_block's."""
     rng = np.random.default_rng(40 + d)
-    dd = gm_double_dual_norm(random_spd_matrix(rng, d, spread=0.8),
-                             random_spd_matrix(rng, d, spread=0.8), 0.5,
-                             directions=1440).double_dual
+    w0, w1 = (random_spd_matrix(rng, d, spread=0.8).arr for _ in range(2))
+    inner = inner_duals(w0[None], w1[None], 0.5, 1440)
     probe = rng.standard_normal((1000, d))
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    return dd, probe
+    return inner, probe
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_nested_maxima_are_bitwise_the_subgrid_values(d):
-    dd, probe = _nested_pair(d)
+    inner, probe = _nested_pair(d)
     B, grids = _NESTED_BLOCK, (1440, 360, 720)
+    # each coarse grid is a stride (circle) or a prefix (sphere) of the fine one
+    subgrid = {m: slice(None, None, 1440 // m) if d == 2 else slice(None, m) for m in grids}
+    fine = direction_grid(d, 1440)
+    for m, rows in subgrid.items():
+        assert np.array_equal(direction_grid(d, m), fine[rows])
     for rows in (0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 1000):  # B + 1: a one-row tail
         V = probe[:rows]
-        for m, got in zip(grids, dd.nested_values(V, grids)):
-            assert got.shape == (rows,)
-            assert got.tobytes() == dd.on_subgrid(m).values(V).tobytes(), (rows, m)
+        got = nested_maxima(V[None], inner, grids)
+        assert got.shape == (1, len(grids), rows)
+        for m, values in zip(grids, got[0]):
+            ratios = np.abs(V @ direction_grid(d, m).T) / inner[0, subgrid[m]]
+            assert values.tobytes() == ratios.max(axis=1).tobytes(), (rows, m)
     with pytest.raises(ValueError, match="not nested"):
-        dd.nested_values(probe, (2880,))
+        nested_maxima(probe[None], inner, (2880,))
 
 
 def test_nested_maxima_build_no_full_ratio_matrix():
     # one 1000 x 1440 ratio matrix is 11.5 MB; the row blocks stay near 0.7 MB
-    dd, probe = _nested_pair(3)
+    inner, probe = _nested_pair(3)
     tracemalloc.start()
     try:
-        dd.nested_values(probe, (360, 720, 1440))
+        nested_maxima(probe[None], inner, (360, 720, 1440))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+def test_comparability_block_stays_small():
+    # one inner-dual solve per pair peaks near 0.8 MB at d = 3; ten pairs
+    # solved in one call would take the block near 9 MB
+    _comparability_block(ExperimentConfig(seed=7))  # direction grids cached
+    tracemalloc.start()
+    try:
+        _comparability_block(ExperimentConfig(seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
+def test_reverse_factorization_validates_few_stacks(monkeypatch):
+    # the comparability block validates its pairs as two stacks per d, not
+    # matrix by matrix; the A_p ladder and the side-by-side field make the rest
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return spd_stack(*args, **kwargs)
+
+    for module in (matrices, harness):  # the name, wherever it is imported
+        monkeypatch.setattr(module, "spd_stack", counting, raising=False)
+    assert run_reverse_factorization(ExperimentConfig(seed=7)).passed
+    assert len(made) <= 220
 
 
 def test_bodies_selftest_runs():

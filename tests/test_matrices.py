@@ -6,10 +6,11 @@ from setlp.matrices import (
     MatrixField,
     SpdMatrix,
     geometric_mean,
-    gm_double_dual_norm,
+    mean_stack,
     operator_norms,
     random_spd_matrix,
 )
+from setlp.seminorms import GeometricMeanDoubleDual, MatrixNorm
 
 
 def spd(entries):
@@ -125,10 +126,13 @@ def test_gm_norm_pair_structure():
     rng = np.random.default_rng(6)
     W0 = random_spd_matrix(rng, 2)
     W1 = random_spd_matrix(rng, 2)
-    pair = gm_double_dual_norm(W0, W1, 0.5, directions=180)
+    double_dual = GeometricMeanDoubleDual(MatrixNorm(W0.arr), MatrixNorm(W1.arr), 0.5,
+                                          directions=180)
+    mean_matrix = mean_stack(W0.spd.power(2.0), W1.spd.power(2.0), 0.5)
+    comparison = MatrixNorm(mean_matrix.power(0.5).arr[0])
     mean = geometric_mean(SpdMatrix(W0.arr @ W0.arr), SpdMatrix(W1.arr @ W1.arr), 0.5)
-    assert np.abs(pair.mean_matrix.arr - mean.arr).max() < 1e-12
+    assert np.abs(mean_matrix.arr[0] - mean.arr).max() < 1e-12
     V = rng.standard_normal((100, 2))
     root = mean.power(0.5).arr
-    assert np.abs(pair.comparison.values(V) - np.linalg.norm(V @ root.T, axis=1)).max() < 1e-10
-    assert np.all(pair.double_dual.values(V) <= pair.double_dual.mean_values(V) * (1 + 1e-9))
+    assert np.abs(comparison.values(V) - np.linalg.norm(V @ root.T, axis=1)).max() < 1e-10
+    assert np.all(double_dual.values(V) <= double_dual.mean_values(V) * (1 + 1e-9))

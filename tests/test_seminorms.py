@@ -20,6 +20,7 @@ from setlp.seminorms import (
     direction_grid,
     dual_values,
     inner_duals,
+    nested_maxima,
 )
 
 RNG = np.random.default_rng(21)
@@ -132,26 +133,31 @@ def fine_double_dual(request):
 @pytest.mark.parametrize("m", [720, 360])
 def test_subgrid_is_the_nested_grid_and_never_exceeds_the_fine_values(fine_double_dual, m):
     dd = fine_double_dual
-    sub = dd.on_subgrid(m)
-    assert sub.directions == m
-    assert np.array_equal(sub.grid, direction_grid(dd.dim, m))
+    # a stride of the fine grid on the circle, a prefix on the sphere
+    rows = slice(None, None, 1440 // m) if dd.dim == 2 else slice(None, m)
+    assert np.array_equal(dd.grid[rows], direction_grid(dd.dim, m))
     probe = np.random.default_rng(m).standard_normal((500, dd.dim))
+    sub = nested_maxima(probe[None], dd.inner[None], (m,))[0, 0]
+    ratios = np.abs(probe @ direction_grid(dd.dim, m).T) / dd.inner[rows]
+    assert np.array_equal(sub, ratios.max(axis=1))
     # a max over a subset of the same functionals: no slack
-    assert np.all(sub.values(probe) <= dd.values(probe))
+    assert np.all(sub <= dd.values(probe))
 
 
 def test_subgrid_at_the_fine_count_gives_the_fine_values(fine_double_dual):
     dd = fine_double_dual
     probe = np.random.default_rng(5).standard_normal((500, dd.dim))
-    assert np.array_equal(dd.on_subgrid(1440).values(probe), dd.values(probe))
+    assert np.array_equal(nested_maxima(probe[None], dd.inner[None], (1440,))[0, 0],
+                          dd.values(probe))
 
 
 def test_subgrid_rejects_a_grid_that_is_not_nested(fine_double_dual):
     dd = fine_double_dual
+    probe = np.random.default_rng(5).standard_normal((1, 10, dd.dim))
     # 500 does not divide 1440 (on the sphere it is a valid prefix)
     for m in ((500, 2880) if dd.dim == 2 else (2880,)):
         with pytest.raises(ValueError):
-            dd.on_subgrid(m)
+            nested_maxima(probe, dd.inner[None], (m,))
 
 
 def _comparability_pair(seed, pair_idx):
