@@ -37,7 +37,7 @@ from .fields import (
     values_lp_norm,
 )
 from .grids import DyadicDomain, _cube_cells, grid_translations, verify_nesting, verify_tiling
-from .matrices import MatrixField, mean_stack, random_spd_matrix, spd_stack
+from .matrices import MatrixField, geometric_mean, random_spd_matrix, spd_stack
 from .operators import (
     ExponentConfig,
     cube_magnitudes,
@@ -544,7 +544,7 @@ def _comparability_draw(seed: int, pair_idx: int, d: int) -> tuple:
     w1 = random_spd_matrix(rng, d, spread=0.8)
     probe = rng.standard_normal((1000, d))
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    return w0.arr, w1.arr, probe
+    return w0, w1, probe
 
 
 def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
@@ -553,7 +553,7 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     Per pair the true ratio is enclosed in [c1, c2]: c1 from the grid
     double dual (an inner approximation) and c2 from the mean norm itself,
     which dominates its own double dual.  The pairs of each d are drawn into
-    (10, d, d) stacks, whose mean matrices come from one mean_stack chain.
+    (10, d, d) stacks, whose mean matrices come from one geometric_mean chain.
     Each pair's inner duals are solved once, on the finest grid; the coarser
     grids are nested in it and share its denominators, so their double duals
     are maxima over subsets of the same functionals, read off one product of
@@ -570,7 +570,7 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     for d, pairs in ((2, range(10)), (3, range(10, 20))):
         W0, W1, probes = map(np.stack, zip(*[_comparability_draw(config.seed, k, d)
                                              for k in pairs]))
-        mean = mean_stack(spd_stack(W0).power(2.0), spd_stack(W1).power(2.0), t)
+        mean = geometric_mean(spd_stack(W0).power(2.0), spd_stack(W1).power(2.0), t)
         cmp_vals = np.linalg.norm(probes @ np.swapaxes(mean.power(0.5).arr, 1, 2), axis=2)
         upper = (np.linalg.norm(probes @ np.swapaxes(W0, 1, 2), axis=2) ** (1.0 - t)
                  * np.linalg.norm(probes @ np.swapaxes(W1, 1, 2), axis=2) ** t)

@@ -1,19 +1,17 @@
 """Symmetric positive definite matrices, powers, geometric means, fields.
 
-Matrices live in validated (k, d, d) stacks held with their symmetric
-eigendecomposition; an SpdMatrix is a stack of one and a MatrixField one
-read-only stack of its cells, validated once, whose per-cell SpdMatrix
-objects are built only on first access.  Each formula below exists once,
-for stacks.  The batched validator rejects matrices that are not
-symmetric to 1e-12 (relative), not positive definite, or with eigenvalue
-ratio beyond 1e12, which keeps every downstream power and inverse
-well-conditioned.  Powers go through the eigendecomposition and the
-weighted geometric mean uses
+SPD matrices live only in validated (k, d, d) stacks held with their
+symmetric eigendecomposition; a MatrixField is one read-only stack of its
+cells, validated once.  Each formula below exists once, for stacks.  The
+batched validator rejects matrices that are not symmetric to 1e-12
+(relative), not positive definite, or with eigenvalue ratio beyond 1e12,
+which keeps every downstream power and inverse well-conditioned.  Powers
+go through the eigendecomposition and the weighted geometric mean uses
 
     mean_t(A, B) = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2),
 
-with t restricted to the open interval (0, 1); the endpoint cases are the
-inputs themselves and stay out of scope.
+matrix by matrix, with t restricted to the open interval (0, 1); the
+endpoint cases are the inputs themselves and stay out of scope.
 """
 
 from __future__ import annotations
@@ -80,48 +78,18 @@ def spd_stack(entries, *, label: str | None = None) -> SpdStack:
     return SpdStack(S, w, Q)
 
 
-def mean_stack(A: SpdStack, B: SpdStack, t: float) -> SpdStack:
-    """Weighted geometric mean of two equal-length stacks, matrix by matrix."""
+def geometric_mean(A: SpdStack, B: SpdStack, t: float) -> SpdStack:
+    """Weighted geometric mean of two equal-shape stacks, matrix by matrix,
+    t strictly in (0, 1)."""
+    if A.arr.shape != B.arr.shape:
+        raise ValueError(f"geometric mean of stacks of shapes {A.arr.shape} and {B.arr.shape}")
+    t = float(t)
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"geometric mean weight must lie strictly in (0, 1), got {t}")
     half, ihalf = A.power(0.5), A.power(-0.5)
     mid = ihalf.arr @ B.arr @ ihalf.arr
     mid_t = spd_stack(_sym(mid)).power(t)
     return spd_stack(_sym(half.arr @ mid_t.arr @ half.arr))
-
-
-class SpdMatrix:
-    """A validated symmetric positive definite matrix: a stack of one."""
-
-    __slots__ = ("dim", "arr", "spd")
-
-    def __init__(self, entries):
-        """entries: a square matrix, or a validated SpdStack of one."""
-        if not isinstance(entries, SpdStack):
-            entries = spd_stack(np.asarray(getattr(entries, "arr", entries), dtype=float)[None])
-        self.spd, self.arr, self.dim = entries, entries.arr[0], entries.arr.shape[-1]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spd.w[0]
-
-    def power(self, t: float) -> "SpdMatrix":
-        return SpdMatrix(self.spd.power(t))
-
-    def __repr__(self):
-        return f"SpdMatrix(dim={self.dim})"
-
-
-def geometric_mean(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
-    """Weighted geometric mean of two SPD matrices, t strictly in (0, 1)."""
-    if not isinstance(A, SpdMatrix):
-        A = SpdMatrix(A)
-    if not isinstance(B, SpdMatrix):
-        B = SpdMatrix(B)
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch in geometric mean")
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"geometric mean weight must lie strictly in (0, 1), got {t}")
-    return SpdMatrix(mean_stack(A.spd, B.spd, t))
 
 
 def operator_norms(batch: np.ndarray) -> np.ndarray:
@@ -144,8 +112,9 @@ def _opnorm_2x2(a, b, c, e) -> np.ndarray:
 
 
 def random_spd_matrix(rng: np.random.Generator, d: int, *,
-                      spread: float = 1.0) -> SpdMatrix:
-    """Random SPD matrix: Haar-ish rotation with log-uniform eigenvalues.
+                      spread: float = 1.0) -> np.ndarray:
+    """Random symmetric (d, d) array: Haar-ish rotation with log-uniform
+    eigenvalues, left for the stack it joins to validate.
 
     The QR sign convention is fixed so equal generator states give
     bitwise-equal matrices.  spread bounds |log eigenvalue|, keeping the
@@ -158,34 +127,26 @@ def random_spd_matrix(rng: np.random.Generator, d: int, *,
     Q = Q * np.sign(np.diag(R))
     eigs = np.exp(rng.uniform(-spread, spread, d))
     W = (Q * eigs) @ Q.T
-    return SpdMatrix(0.5 * (W + W.T))
+    return 0.5 * (W + W.T)
 
 
 class MatrixField:
     """A piecewise-constant SPD matrix field on a dyadic domain: one validated
-    stack ``spd`` of all cells; ``cells`` builds SpdMatrix objects on first use."""
+    stack ``spd`` of all cells."""
 
-    __slots__ = ("domain", "spd", "_cells")
+    __slots__ = ("domain", "spd")
 
     def __init__(self, domain: DyadicDomain, cells):
-        """cells: an SpdStack, or num_cells matrices (an array or a sequence)."""
+        """cells: an SpdStack, or num_cells matrices (an array or a sequence of arrays)."""
         if not isinstance(cells, SpdStack):
-            cells = [getattr(c, "arr", c) for c in cells]
             if len(cells) != domain.num_cells:
                 raise ValueError(f"matrix field needs {domain.num_cells} cells, got {len(cells)}")
             cells = spd_stack(cells, label="cell")
-        self.domain, self.spd, self._cells = domain, cells, None
+        self.domain, self.spd = domain, cells
 
     @property
     def dim(self) -> int:
         return self.spd.arr.shape[-1]
-
-    @property
-    def cells(self) -> tuple:
-        if self._cells is None:
-            self._cells = tuple(SpdMatrix(self.spd.take(slice(i, i + 1)))
-                                for i in range(len(self.spd.arr)))
-        return self._cells
 
     def stack(self) -> np.ndarray:
         """All cell matrices as one read-only array, shape (num_cells, d, d)."""

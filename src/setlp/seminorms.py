@@ -6,9 +6,10 @@ symmetric polytope is attained at a generator.  Dual norms follow
 
     dual(p)(v) = sup{ |<v, w>| : p(w) <= 1 },
 
-with closed forms for the Euclidean, matrix-induced and gauge variants
-and a deterministic direction-grid search with local refinement for
-everything else.  By homogeneity the search reduces to maximizing
+with closed forms for the matrix-induced and gauge variants (the
+Euclidean norm is the MatrixNorm of the identity) and a deterministic
+direction-grid search with local refinement for everything else.  By
+homogeneity the search reduces to maximizing
 |<v, w>| / p(w) over unit directions w; the coarse grid pass is followed
 by a vectorized golden-section (circle) or compass (sphere) polish, which
 brings the values to ~1e-12 relative accuracy so the double-dual ordering
@@ -449,23 +450,11 @@ class Seminorm(HomogeneousFunctional):
         return float(np.max(self.values(body.generators)))
 
 
-class EuclideanNorm(Seminorm):
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def values(self, V):
-        return np.linalg.norm(np.atleast_2d(np.asarray(V, dtype=float)), axis=1)
-
-    def __repr__(self):
-        return f"EuclideanNorm(dim={self.dim})"
-
-
 class MatrixNorm(Seminorm):
     """v |-> |A v| for a square matrix A (a norm iff A is invertible)."""
 
     def __init__(self, matrix):
-        A = getattr(matrix, "arr", matrix)
-        A = np.asarray(A, dtype=float)
+        A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("matrix-induced seminorm needs a square matrix")
         self.matrix = np.ascontiguousarray(A)
@@ -510,10 +499,9 @@ class GaugeNorm(Seminorm):
 class DualNorm(Seminorm):
     """Dual of a homogeneous evaluator.
 
-    Closed forms: dual of Euclidean is Euclidean; dual of |A.| is |A^-T .|;
-    dual of a gauge is the support function of the same body.  Any other
-    base (including a DualNorm itself) evaluates through the refined
-    direction-grid search.
+    Closed forms: dual of |A.| is |A^-T .|; dual of a gauge is the
+    support function of the same body.  Any other base (including a
+    DualNorm itself) evaluates through the refined direction-grid search.
     """
 
     def __init__(self, base: HomogeneousFunctional, *, directions: int | None = None):
@@ -524,8 +512,6 @@ class DualNorm(Seminorm):
     def values(self, V):
         V = np.atleast_2d(np.asarray(V, dtype=float))
         base = self.base
-        if isinstance(base, EuclideanNorm):
-            return np.linalg.norm(V, axis=1)
         if isinstance(base, MatrixNorm):
             try:
                 Winv_t = base._inverse_transpose()

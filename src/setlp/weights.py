@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import values_lp_norm
 from .grids import DyadicDomain, _cube_cells, dyadic_cube_family
-from .matrices import MatrixField, _opnorm_2x2, mean_stack, operator_norms
+from .matrices import MatrixField, _opnorm_2x2, geometric_mean, operator_norms
 from .operators import aligned_cells
 from .seminorms import direction_grid
 
@@ -122,7 +122,7 @@ def reverse_factorization(W0: MatrixField, W1: MatrixField, t: float) -> MatrixF
     moved = ~(A.arr == B.arr).all(axis=(1, 2))
     if not moved.any():
         return W0
-    out = mean_stack(A.take(moved).power(2.0), B.take(moved).power(2.0), t).power(0.5)
+    out = geometric_mean(A.take(moved).power(2.0), B.take(moved).power(2.0), t).power(0.5)
     if moved.all():
         return MatrixField(W0.domain, out)
     cells = np.array(A.arr)

@@ -153,7 +153,7 @@ def test_06_norm_duality(capsys):
     dual_gap = 0.0
     for k in range(8):
         W = random_spd_matrix(rng, 2, spread=0.9)
-        norm = MatrixNorm(W.arr)
+        norm = MatrixNorm(W)
         closed = DualNorm(norm).values(V)
         grid = dual_values(norm.values, 2, V, directions=720)
         dual_gap = max(dual_gap, float(np.abs(grid / closed - 1.0).max()))

@@ -131,7 +131,7 @@ def test_weighted_lp_norm_uses_cell_norms():
     mf = MatrixField(domain, [random_spd_matrix(rng, 2) for _ in range(2)])
     rho = NormField(domain, [MatrixNorm(m) for m in mf.stack()])
     F = SetField(domain, [ConvexBody(2, [[1.0, 0.0]]), ConvexBody(2, [[0.0, 1.0]])])
-    vals = [np.linalg.norm(mf.cells[i].arr @ F.cells[i].generators[0]) for i in range(2)]
+    vals = [np.linalg.norm(mf.stack()[i] @ F.cells[i].generators[0]) for i in range(2)]
     want = math.sqrt(0.5 * vals[0] ** 2 + 0.5 * vals[1] ** 2)
     assert lp_norm(F, 2.0, rho) == pytest.approx(want, rel=1e-12)
 

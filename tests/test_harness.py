@@ -36,12 +36,7 @@ from setlp.harness import (
     thread_count,
     trial_field,
 )
-from setlp.matrices import (
-    MatrixField,
-    SpdMatrix,
-    random_spd_matrix,
-    spd_stack,
-)
+from setlp.matrices import MatrixField, random_spd_matrix, spd_stack
 from setlp.seminorms import _NESTED_BLOCK, direction_grid, inner_duals, nested_maxima
 from setlp.weights import averaging_norms, reverse_factorization
 
@@ -253,17 +248,17 @@ def test_comparability_widths_never_grow_under_refinement():
         assert r["widths"][0] >= r["widths"][1] >= r["widths"][2], r["pair"]
 
 
-def _spd_matrices_made(monkeypatch, runner, config) -> int:
-    # every SpdMatrix goes through __init__, the lazy cells of a field too
+def _spd_stacks_made(monkeypatch, runner, config) -> int:
+    # every SPD matrix is validated in some spd_stack call
     made = []
-    init = SpdMatrix.__init__
 
-    def counting_init(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         made.append(1)
-        init(self, *args, **kwargs)
+        return spd_stack(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SpdMatrix, "__init__", counting_init)
+        for module in (matrices, harness):  # the name, wherever it is imported
+            patch.setattr(module, "spd_stack", counting, raising=False)
         assert runner(config).passed
     return len(made)
 
@@ -273,8 +268,8 @@ def _spd_matrices_made(monkeypatch, runner, config) -> int:
     (run_riesz_thorin, {"trials": 2, "directions": 60}),
 ])
 def test_weight_suites_make_no_spd_matrix_per_cell(monkeypatch, runner, options):
-    coarse = _spd_matrices_made(monkeypatch, runner, ExperimentConfig(seed=7, level=3, **options))
-    fine = _spd_matrices_made(monkeypatch, runner, ExperimentConfig(seed=7, level=5, **options))
+    coarse = _spd_stacks_made(monkeypatch, runner, ExperimentConfig(seed=7, level=3, **options))
+    fine = _spd_stacks_made(monkeypatch, runner, ExperimentConfig(seed=7, level=5, **options))
     assert coarse == fine
 
 
@@ -308,7 +303,7 @@ def test_riesz_thorin_builds_no_body(monkeypatch, level):
 def _nested_pair(d):
     """1440-direction inner duals and 1000 unit probes, as _comparability_block's."""
     rng = np.random.default_rng(40 + d)
-    w0, w1 = (random_spd_matrix(rng, d, spread=0.8).arr for _ in range(2))
+    w0, w1 = (random_spd_matrix(rng, d, spread=0.8) for _ in range(2))
     inner = inner_duals(w0[None], w1[None], 0.5, 1440)
     probe = rng.standard_normal((1000, d))
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
@@ -363,16 +358,8 @@ def test_comparability_block_stays_small():
 def test_reverse_factorization_validates_few_stacks(monkeypatch):
     # the comparability block validates its pairs as two stacks per d, not
     # matrix by matrix; the A_p ladder and the side-by-side field make the rest
-    made = []
-
-    def counting(*args, **kwargs):
-        made.append(1)
-        return spd_stack(*args, **kwargs)
-
-    for module in (matrices, harness):  # the name, wherever it is imported
-        monkeypatch.setattr(module, "spd_stack", counting, raising=False)
-    assert run_reverse_factorization(ExperimentConfig(seed=7)).passed
-    assert len(made) <= 220
+    config = ExperimentConfig(seed=7)
+    assert _spd_stacks_made(monkeypatch, run_reverse_factorization, config) <= 180
 
 
 def test_bodies_selftest_runs():

@@ -1,8 +1,9 @@
 """Every name a library or test module imports at module level is used
-there, every private helper of the library has a caller in it, and every
-function the benchmark tracer reads a metric from is one it wraps.  The
-suites of `setlp all` load neither scipy nor the process-pool modules; the
-body path loads Qhull on first use."""
+there, the package exports exactly the names it imports, every private
+helper of the library has a caller in it, and every function the
+benchmark tracer reads a metric from is one it wraps.  The suites of
+`setlp all` load neither scipy nor the process-pool modules; the body
+path loads Qhull on first use."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 import pytest
 
+import setlp
 from setlp.bodies import ConvexBody
 from setlp.harness import _usable_cores
 
@@ -68,6 +70,16 @@ def test_private_helpers_are_used_in_the_library():
               and node.name.startswith("_") and not node.name.startswith("__")
               and not any(node.name in refs for _, other, refs in nodes if other is not node)]
     assert not unused, f"private helpers without a caller outside their own body: {unused}"
+
+
+def test_package_exports_exactly_the_names_it_binds():
+    # a name dropped from the package's imports cannot linger in __all__
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for a in node.names}
+    public = {name for name in bound if not inspect.ismodule(getattr(setlp, name))
+              and not (name.startswith("_") and not name.endswith("__"))}
+    assert sorted(setlp.__all__) == sorted(public)
 
 
 def _load_tracer():

@@ -9,7 +9,6 @@ from setlp.matrices import random_spd_matrix
 from setlp.seminorms import (
     DegenerateSeminormError,
     DualNorm,
-    EuclideanNorm,
     GaugeNorm,
     GeometricMeanDoubleDual,
     MatrixNorm,
@@ -24,11 +23,6 @@ from setlp.seminorms import (
 )
 
 RNG = np.random.default_rng(21)
-
-
-def test_euclidean_values():
-    V = RNG.standard_normal((20, 3))
-    assert np.abs(EuclideanNorm(3).values(V) - np.linalg.norm(V, axis=1)).max() < 1e-14
 
 
 def test_matrix_norm_and_closed_form_dual():
@@ -62,7 +56,7 @@ def test_gauge_norm_duality_pair():
 
 def test_dual_of_euclidean_is_euclidean():
     V = RNG.standard_normal((30, 2))
-    d = DualNorm(EuclideanNorm(2))
+    d = DualNorm(MatrixNorm(np.eye(2)))
     assert np.abs(d.values(V) - np.linalg.norm(V, axis=1)).max() < 1e-12
 
 
@@ -126,7 +120,7 @@ def test_double_dual_equals_mean_for_equal_weights():
 def fine_double_dual(request):
     dim = request.param
     rng = np.random.default_rng(30 + dim)
-    A, B = (random_spd_matrix(rng, dim, spread=0.8).arr for _ in range(2))
+    A, B = (random_spd_matrix(rng, dim, spread=0.8) for _ in range(2))
     return GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(B), 0.4, directions=1440)
 
 
@@ -168,7 +162,7 @@ def _comparability_pair(seed, pair_idx):
     config = ExperimentConfig(seed=seed)
     rng = _trial_rng(seed, 9000 + pair_idx)
     d = 2 if pair_idx < 10 else 3
-    w0, w1 = (random_spd_matrix(rng, d, spread=0.8).arr for _ in range(2))
+    w0, w1 = (random_spd_matrix(rng, d, spread=0.8) for _ in range(2))
     return w0, w1, config.ts[len(config.ts) // 2]
 
 
@@ -185,7 +179,7 @@ def test_exact_inner_duals_bound_a_dense_search_and_the_grid(dim):
     rng = np.random.default_rng(70 + dim)
     dense = _dense_directions(dim, 100_000, rng)
     for _ in range(8):
-        A, B = (random_spd_matrix(rng, dim, spread=1.5).arr for _ in range(2))
+        A, B = (random_spd_matrix(rng, dim, spread=1.5) for _ in range(2))
         t = float(rng.uniform(0.05, 0.95))
         dd = GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(B), t, directions=48)
         brute = (np.abs(dd.grid @ dense.T) / dd.mean_values(dense)).max(axis=1)
@@ -216,7 +210,7 @@ def test_exact_inner_duals_pass_a_local_maximum_of_the_search():
 @pytest.mark.parametrize("factor", [1.0, 2.5])
 def test_exact_inner_duals_of_proportional_factors_have_the_closed_form(dim, factor):
     # p_t = c^t |A w|, so p_t*(u) = |A^-T u| / c^t
-    A = random_spd_matrix(np.random.default_rng(dim), dim, spread=0.8).arr
+    A = random_spd_matrix(np.random.default_rng(dim), dim, spread=0.8)
     dd = GeometricMeanDoubleDual(MatrixNorm(A), MatrixNorm(factor * A), 0.35, directions=200)
     want = np.linalg.norm(dd.grid @ np.linalg.inv(A), axis=1) / factor ** 0.35
     assert np.abs(dd.inner / want - 1.0).max() < 1e-14
@@ -264,7 +258,8 @@ def test_inner_duals_reject_a_zero_scalar_factor_and_bad_shapes():
 
 def test_double_dual_in_the_plane_needs_matrix_factors():
     with pytest.raises(TypeError):
-        GeometricMeanDoubleDual(EuclideanNorm(2), MatrixNorm(np.eye(2)), 0.5)
+        GeometricMeanDoubleDual(GaugeNorm(ConvexBody(2, np.eye(2))), MatrixNorm(np.eye(2)),
+                                0.5)
 
 
 def test_double_dual_of_a_singular_factor_is_rejected():
@@ -399,7 +394,7 @@ def test_stacked_inner_duals_match_the_per_pair_companion_solve(dim):
     rng = np.random.default_rng(80 + dim)
     U = direction_grid(dim, 240)
     t = float(rng.uniform(0.1, 0.9))
-    pairs = [tuple(random_spd_matrix(rng, dim, spread=1.5).arr for _ in range(2))
+    pairs = [tuple(random_spd_matrix(rng, dim, spread=1.5) for _ in range(2))
              for _ in range(8)]
     A0, A1 = (np.array(side) for side in zip(*pairs))
     stacked = _matrix_mean_duals(A0, A1, t, U)
@@ -418,7 +413,7 @@ def test_stacked_inner_duals_match_the_per_pair_companion_solve(dim):
 def test_inner_duals_in_three_dimensions_match_the_companion_solve(spread, t):
     rng = np.random.default_rng(round(100 * spread + 10 * t))
     U = direction_grid(3, 240)
-    pairs = [tuple(random_spd_matrix(rng, 3, spread=spread).arr for _ in range(2))
+    pairs = [tuple(random_spd_matrix(rng, 3, spread=spread) for _ in range(2))
              for _ in range(8)]
     A0, A1 = (np.array(side) for side in zip(*pairs))
     # both solves round the ratios at condition numbers up to exp(2 spread)
@@ -434,7 +429,7 @@ def test_double_duals_solve_no_eigenvalue_problem(dim, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     rng = np.random.default_rng(95 + dim)
-    A0, A1 = (np.array([random_spd_matrix(rng, dim).arr for _ in range(3)]) for _ in range(2))
+    A0, A1 = (np.array([random_spd_matrix(rng, dim) for _ in range(3)]) for _ in range(2))
     inner = inner_duals(A0, A1, 0.4, 64)
     assert np.all(np.isfinite(inner)) and np.all(inner > 0.0)
 
@@ -443,7 +438,7 @@ def test_double_duals_solve_no_eigenvalue_problem(dim, monkeypatch):
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_a_singular_factor_anywhere_in_a_stack_is_rejected(singular, position):
     rng = np.random.default_rng(90)
-    A0, A1 = (np.array([random_spd_matrix(rng, 2).arr for _ in range(3)]) for _ in range(2))
+    A0, A1 = (np.array([random_spd_matrix(rng, 2) for _ in range(3)]) for _ in range(2))
     # exactly singular: batched inv raises LinAlgError for A0, the
     # relative singular-value floor catches A1
     (A0 if singular == "A0" else A1)[position] = np.diag([1.0, 0.0])

@@ -6,7 +6,7 @@ import pytest
 from setlp.bodies import ConvexBody
 from setlp.fields import NormField, SetField, lp_norm
 from setlp.grids import DyadicDomain, dyadic_cube_family
-from setlp.matrices import MatrixField, SpdMatrix, operator_norms
+from setlp.matrices import MatrixField, operator_norms
 from setlp.harness import ExperimentConfig, _averaging_samples, _fixture_pair
 from setlp.operators import aligned_cells, frac_average
 from setlp.seminorms import (
@@ -29,7 +29,7 @@ from setlp.weights import (
 
 
 def scalar_field(domain, values):
-    return MatrixField(domain, [SpdMatrix([[float(v)]]) for v in values])
+    return MatrixField(domain, np.asarray(values, dtype=float)[:, None, None])
 
 
 def test_identity_weight_has_unit_constant():
@@ -180,7 +180,7 @@ def test_reverse_factorization_scalar_oracle():
     b = np.exp(rng.normal(0.0, 0.4, 8))
     for t in (0.25, 0.5, 0.8):
         got = reverse_factorization(scalar_field(domain, a), scalar_field(domain, b), t)
-        vals = np.array([c.arr[0, 0] for c in got.cells])
+        vals = got.stack()[:, 0, 0]
         assert np.abs(vals - a ** (1.0 - t) * b ** t).max() < 1e-13
 
 
@@ -188,8 +188,7 @@ def test_reverse_factorization_passes_equal_cells_through():
     domain = DyadicDomain(1, 2)
     W = fixture_weights("rotated_diag", {"spread": 0.5}, domain)
     got = reverse_factorization(W, W, 0.3)
-    for a, b in zip(got.cells, W.cells):
-        assert a is b
+    assert got is W
 
 
 def _factorization_oracle(a, b, t):
