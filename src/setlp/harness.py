@@ -555,13 +555,12 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     which dominates its own double dual.  The pairs of each d are drawn into
     (10, d, d) stacks, whose mean matrices come from one geometric_mean chain.
     Each pair's inner duals are solved once, on the finest grid; the coarser
-    grids are nested in it and share its denominators, so their double duals
+    grids are nested in it and share its polar points, so their double duals
     are maxima over subsets of the same functionals, read off one product of
-    each 64-probe block with the finest grid reordered so that every coarser
-    grid is a prefix (seminorms.nested_maxima).  The certified width c2/c1
-    therefore never grows as the grid doubles, exactly, and ordering on the
-    finest grid implies it on the coarser ones.  The raw measured spread is
-    kept alongside.
+    each 64-probe block with those points, no division pass
+    (seminorms.nested_maxima).  The certified width c2/c1 therefore never
+    grows as the grid doubles, exactly, and ordering on the finest grid
+    implies it on the coarser ones.  The raw measured spread is kept alongside.
     """
     t = config.ts[len(config.ts) // 2]
     grids = (360, 720, 1440)

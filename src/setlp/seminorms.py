@@ -16,23 +16,23 @@ brings the values to ~1e-12 relative accuracy so the double-dual ordering
 and cross-checks hold at the advertised tolerances.
 
 The double dual of the weighted geometric mean p_t = |A0 .|^(1-t) |A1 .|^t
-of two matrix norms is evaluated as max_i |<v, u_i>| / p_t*(u_i) over a
-fixed direction grid.  The inner duals p_t*(u_i) are exact and come from one
-function, ``inner_duals``, for a whole (m, d, d) stack of factor pairs: a
-read-only (m, directions) array, each distinct pair solved once.  At d = 1
-they have a closed form; above it the Lagrange conditions of the ratio reduce
-to one polynomial of degree 2d - 1 per direction, and every real root in the
-interval that holds its variable is tried (``_matrix_mean_duals``: closed-form
-at d = 2, bracketed between the derivative's roots, found the same way, above).
-A field of double duals is those rows, one per cell; ``GeometricMeanDoubleDual``
-is the evaluator of one pair, its row from a stack of one.  With fixed
-denominators the evaluator is a max of absolute linear functionals, hence a
-genuine norm, and the pointwise bound double_dual(v) <= p_t(v) is inherited
-from |<v,u>| <= p_t(v) p_t*(u).
+of two matrix norms is max_i |<v, u_i>| / p_t*(u_i) over a fixed direction
+grid, read at the polar points as max_i |<v, u_i / p_t*(u_i)>| (Rockafellar
+1970, section 14): no division pass.  The inner duals p_t*(u_i) are exact and
+come from one function, ``inner_duals``, for a whole (m, d, d) stack of factor
+pairs: a read-only (m, directions) array, each distinct pair solved once.  At
+d = 1 they have a closed form; above it the Lagrange conditions of the ratio
+reduce to one polynomial of degree 2d - 1 per direction, and every real root in
+the interval that holds its variable is tried (``_matrix_mean_duals``: closed
+form at d = 2, bracketed between the derivative's roots, found the same way,
+above).  A field of double duals is those rows, one per cell;
+``GeometricMeanDoubleDual`` is the evaluator of one pair, its row from a stack
+of one.  A max of absolute linear functionals, it is a genuine norm, and
+double_dual(v) <= p_t(v) follows from |<v,u>| <= p_t(v) p_t*(u).
 Direction grids nest: the circle grid of m directions is a stride of any
 grid whose count is m times a power of two, and the sphere grid of m
 directions is a prefix of every larger one.  ``nested_maxima`` reads the
-coarser grids' double duals off one fine solve, sharing its denominators,
+coarser grids' double duals off one fine solve, sharing its polar points,
 so each coarse evaluator is a max over a subset of the fine one's
 functionals and monotonicity under refinement holds exactly.
 """
@@ -379,20 +379,20 @@ def inner_duals(A0, A1, t: float, directions: int | None = None) -> np.ndarray:
 
 
 def nested_maxima(V, inner, counts) -> np.ndarray:
-    """max_i |<v, u_i>| / inner[k, i] over the directions u_i of
+    """max_i |<v, u_i / inner[k, i]>| over the directions u_i of
     direction_grid(d, m), for each m in counts, each pair k and each row v of
     V[k]: V (K, n, d) probes, inner (K, M) inner duals on the M-direction grid;
-    a (K, len(counts), n) array.
+    a (K, len(counts), n) array, at M bitwise GeometricMeanDoubleDual.values.
 
     Each coarse grid must be a set of rows of the fine one, matched value for
     value through one index sort of the fine rows, and hold every smaller grid
     of counts, else ValueError.  The fine grid is reordered once so that the
     grids, by increasing count, are its prefixes: [0::4, 2::4, 1::2] for
-    (360, 720, 1440) on the circle, the identity on the sphere.  Each 64-row
-    block of V[k] takes one product with it; a grid's maximum is the running
-    maximum of the maxima over the contiguous column ranges up to its end.  No
-    block has one row unless V[k] has, as numpy rounds a one-row product
-    differently.
+    (360, 720, 1440) on the circle, the identity on the sphere, and its polar
+    points are formed once per pair: no division pass.  Each 64-row block of
+    V[k] takes one product with them; a grid's maximum is the running maximum
+    of the maxima over the contiguous column ranges up to its end.  No block
+    has one row unless V[k] has, as numpy rounds a one-row product differently.
     """
     V, inner = np.asarray(V, dtype=float), np.asarray(inner, dtype=float)
     fine = direction_grid(V.shape[2], inner.shape[1])
@@ -413,16 +413,15 @@ def nested_maxima(V, inner, counts) -> np.ndarray:
             raise ValueError(f"the {m}-direction grid is not nested in "
                              f"the {len(fine)}-direction grid")
     order = np.concatenate(order)
-    grid, inner = fine[order], inner[:, order]
+    polar = np.swapaxes(fine[order] / inner[:, order, None], 1, 2)  # (K, d, M)
     out = np.empty((len(V), V.shape[1], len(levels)))
     bounds = [0, *range(_NESTED_BLOCK, V.shape[1] - 1, _NESTED_BLOCK), V.shape[1]]
-    block = np.empty((max(np.diff(bounds)), len(grid)))
-    for probe, den, o in zip(V, inner, out):
+    block = np.empty((max(np.diff(bounds)), len(order)))
+    for probe, points, o in zip(V, polar, out):
         for lo, hi in zip(bounds, bounds[1:]):
-            ratios = np.matmul(probe[lo:hi], grid.T, out=block[:hi - lo])
-            np.abs(ratios, out=ratios)
-            np.divide(ratios, den, out=ratios)
-            np.maximum.reduceat(ratios, [0, *levels[:-1]], axis=1, out=o[lo:hi])
+            values = np.matmul(probe[lo:hi], points, out=block[:hi - lo])
+            np.abs(values, out=values)
+            np.maximum.reduceat(values, [0, *levels[:-1]], axis=1, out=o[lo:hi])
             np.maximum.accumulate(o[lo:hi], axis=1, out=o[lo:hi])
     return out.transpose(0, 2, 1)[:, [levels.index(m) for m in counts]]
 
@@ -552,11 +551,11 @@ class GeometricMeanDoubleDual(Seminorm):
 
     The inner dual values p_t*(u_i) on the direction grid are the exact
     suprema from ``inner_duals`` on a stack of one pair, so a cell of a
-    batched solve and the same pair built alone carry the same bits.  With
-    those fixed denominators the evaluator is a max of absolute linear
-    functionals, hence a norm, and is bounded above by the raw geometric
-    mean pointwise.  The read-only arrays ``grid`` (the u_i) and ``inner``
-    (the p_t*(u_i)) give it in closed form.
+    batched solve and the same pair built alone carry the same bits.  The
+    polar points u_i / p_t*(u_i), formed once, make the evaluator a max of
+    absolute linear functionals with no division pass, hence a norm, bounded
+    above by the raw geometric mean pointwise.  The read-only arrays ``grid``
+    (the u_i) and ``inner`` (the p_t*(u_i)) give it in closed form.
     """
 
     def __init__(self, p0: Seminorm, p1: Seminorm, t: float, *, directions: int | None = None):
@@ -567,12 +566,11 @@ class GeometricMeanDoubleDual(Seminorm):
         if getattr(p0, "matrix", None) is None or getattr(p1, "matrix", None) is None:
             raise TypeError("a double dual needs matrix-induced factors")
         self.inner = inner_duals(p0.matrix[None], p1.matrix[None], self.t, self.directions)[0]
+        self._polar = self.grid / self.inner[:, None]
 
     def values(self, V):
-        """max_i |<v, u_i>| / inner[i] for every row v of V."""
-        ratios = np.atleast_2d(np.asarray(V, dtype=float)) @ self.grid.T
-        np.abs(ratios, out=ratios)
-        return np.divide(ratios, self.inner, out=ratios).max(axis=1)
+        """max_i |<v, u_i / inner[i]>| per row v of V, at the polar points."""
+        return np.abs(np.atleast_2d(np.asarray(V, dtype=float)) @ self._polar.T).max(axis=1)
 
     def mean_values(self, V) -> np.ndarray:
         """The raw geometric mean p_t on a stack of vectors."""

@@ -261,18 +261,18 @@ def classical_ap_constant(weight_values, domain: DyadicDomain, p: float) -> floa
 
 
 def averaging_sup_ratio(domain: DyadicDomain, inner, p: float, fields) -> float:
-    """sup over fields F and aligned cubes Q of ||A_Q F|| / ||F||, both
-    norms taken in the rho-weighted L^p, A_Q F being the cube average on Q
-    and zero elsewhere.  Finiteness of the sup is the operational content
-    of the averaging characterization.
+    """sup over a sequence of set fields F and aligned cubes Q of ||A_Q F|| /
+    ||F||, both norms taken in the rho-weighted L^p, A_Q F being the cube
+    average on Q and zero elsewhere.  Finiteness of the sup is the operational
+    content of the averaging characterization.
 
-    rho is a field of geometric-mean double duals given by its inner duals,
-    one row per cell of ``domain`` on direction_grid(d, inner.shape[1]), as
-    ``seminorms.inner_duals`` returns them: rho_x(v) = max_i |<v, u_i>| /
-    inner[x, i], so rho_x(K) is exactly max_i h_K(u_i) / inner[x, i], h_K the
-    support function.  That of an Aumann average is the average of its
-    cells' (Rockafellar, Convex Analysis, 1970), so one support row per cell
-    gives every rho_x(A_Q F), with no body formed.
+    rho is a field of geometric-mean double duals given by its inner duals, one
+    row per cell of ``domain`` on direction_grid(d, inner.shape[1]), d the
+    fields' value dimension, as ``seminorms.inner_duals`` returns them.  At the
+    polar points, rho_x(K) = max_i h_K(u_i) * (1 / inner[x, i]), h_K the
+    support function, the reciprocals taken once: no division pass.  That of an
+    Aumann average is the average of its cells' (Rockafellar, Convex Analysis,
+    1970), so one support row per cell gives every rho_x(A_Q F).
     """
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
@@ -280,28 +280,31 @@ def averaging_sup_ratio(domain: DyadicDomain, inner, p: float, fields) -> float:
     if np.ndim(inner) != 2 or len(inner) != domain.num_cells:
         raise ValueError(f"expected one row of inner duals per cell, {domain.num_cells} "
                          f"rows, got shape {np.shape(inner)}")
+    if not fields:
+        return 0.0
+    grid = direction_grid(fields[0].generators.shape[2], inner.shape[1])
+    if len(grid) != inner.shape[1]:
+        raise ValueError(f"{inner.shape[1]} inner duals per cell, but the "
+                         f"{grid.shape[1]}-dimensional grid has {len(grid)} directions")
     k, n, vol = domain.level, domain.n, domain.cell_volume
     children = [_cube_cells(n, j + 1, j) for j in range(k)]
-    cube_inner = [inner[_cube_cells(n, k, j)] for j in range(k + 1)]
+    recip = 1.0 / inner
+    cube_recip = [recip[_cube_cells(n, k, j)] for j in range(k + 1)]
     sup = 0.0
     for field in fields:
         if field.domain != domain:
             raise ValueError("the set field lives on another grid")
         G = field.generators
-        grid = direction_grid(G.shape[2], inner.shape[1])
-        if len(grid) != inner.shape[1]:
-            raise ValueError(f"{inner.shape[1]} inner duals per cell, but the "
-                             f"{G.shape[2]}-dimensional grid has {len(grid)} directions")
         dots = np.abs(G.reshape(-1, G.shape[2]) @ grid.T)
         sums = dots.reshape(len(G), -1, len(grid)).max(axis=1)  # h_{F(x)}(u_i)
-        base = values_lp_norm((sums / inner).max(axis=1), p, vol)
+        base = values_lp_norm((sums * recip).max(axis=1), p, vol)
         if base == 0.0:
             continue
         for j in range(k, -1, -1):
             if j < k:  # children summed into parents, as a cube tree would
                 sums = sums[children[j]].sum(axis=1)
             avg = sums * 2.0 ** ((j - k) * n)  # a power of two: exact
-            vals = (avg[:, None, :] / cube_inner[j]).max(axis=2)
+            vals = (avg[:, None, :] * cube_recip[j]).max(axis=2)
             for row in vals.tolist():  # fsum of Python-float powers, as lp_norm's
                 sup = max(sup, math.fsum(v ** p * vol for v in row) ** (1.0 / p) / base)
     return sup

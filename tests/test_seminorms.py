@@ -132,8 +132,8 @@ def test_subgrid_is_the_nested_grid_and_never_exceeds_the_fine_values(fine_doubl
     assert np.array_equal(dd.grid[rows], direction_grid(dd.dim, m))
     probe = np.random.default_rng(m).standard_normal((500, dd.dim))
     sub = nested_maxima(probe[None], dd.inner[None], (m,))[0, 0]
-    ratios = np.abs(probe @ direction_grid(dd.dim, m).T) / dd.inner[rows]
-    assert np.array_equal(sub, ratios.max(axis=1))
+    polar = direction_grid(dd.dim, m) / dd.inner[rows, None]  # u_i / p_t*(u_i)
+    assert np.array_equal(sub, np.abs(probe @ polar.T).max(axis=1))
     # a max over a subset of the same functionals: no slack
     assert np.all(sub <= dd.values(probe))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from setlp import weights
 from setlp.bodies import ConvexBody
 from setlp.fields import NormField, SetField, lp_norm
 from setlp.grids import DyadicDomain, dyadic_cube_family
@@ -284,7 +285,8 @@ def _scan_inputs(n, name="rotated"):
 
 def test_averaging_sup_ratio_equals_per_cube_averages_on_the_line():
     # d = 1: both paths add the same scalar support values in the same
-    # order and scale by powers of two, so they agree bit for bit.  d = 2:
+    # order, scale by powers of two and multiply by the same polar point
+    # 1 / p_t*, so they agree bit for bit.  d = 2:
     # the planar Minkowski sum walks its edges with a running sum, so its
     # vertices round apart from the averaged support rows.
     for name, exact in (("two_scales", True), ("rotated", False)):
@@ -320,6 +322,20 @@ def test_averaging_sup_ratio_reads_a_body_field_through_padded_generators():
     assert min(counts) == 0 and max(counts) == field.generators.shape[1] and len(counts) > 2
     got = averaging_sup_ratio(domain, inner, 2.0, [field])
     assert got == pytest.approx(_reference_sup_ratio(pair, 2.0, [field]), rel=1e-12, abs=0.0)
+
+
+def test_averaging_sup_ratio_builds_one_direction_grid_per_call(monkeypatch):
+    pair, inner, fields = _scan_inputs(1)
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return direction_grid(*args)
+
+    monkeypatch.setattr(weights, "direction_grid", counting)
+    assert averaging_sup_ratio(pair[0].domain, inner, 2.0, fields) > 0.0
+    assert len(fields) == 4 and made == [(2, 120)]
+    assert averaging_sup_ratio(pair[0].domain, inner, 2.0, []) == 0.0
 
 
 def test_averaging_sup_ratio_rejects_bad_exponents():
