@@ -171,16 +171,21 @@ def _cell_values(field: SetField, rho) -> np.ndarray:
     raise TypeError(f"expected a Seminorm or NormField, got {type(rho).__name__}")
 
 
+def _power_sum(values: list, p: float, cell_volume: float) -> float:
+    """fsum of the Python-float terms v ** p * cell_volume: the one L^p sum."""
+    return math.fsum(v ** p * cell_volume for v in values)
+
+
 def values_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
     """L^p norm of the simple function taking values[i] on cells of one
-    volume; p = inf gives the sup."""
+    volume, summed by _power_sum; p = inf gives the sup."""
     values = np.asarray(values, dtype=float).tolist()
     if p == math.inf:
         return max(values)
     p = float(p)
     if not p > 0.0:
         raise ValueError(f"p must be positive or inf, got {p}")
-    return math.fsum(v ** p * cell_volume for v in values) ** (1.0 / p)
+    return _power_sum(values, p, cell_volume) ** (1.0 / p)
 
 
 def lp_norm(field: SetField, p: float, rho=None) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -228,18 +229,24 @@ def dyadic_cube_family(domain: DyadicDomain, tau: tuple[Fraction, ...] | None = 
     return out
 
 
+@lru_cache(maxsize=None)
 def _ancestor_ids(n: int, fine: int, j: int) -> np.ndarray:
     """Row-major index, among the 2^(jn) cubes of level j, of the ancestor
-    of every level-`fine` cube taken in row-major order."""
+    of every level-`fine` cube in row-major order; memoized, read-only."""
     coords = np.indices((1 << fine,) * n).reshape(n, -1) >> (fine - j)
-    return np.ravel_multi_index(tuple(coords), (1 << j,) * n)
+    ids = np.ravel_multi_index(tuple(coords), (1 << j,) * n)
+    ids.setflags(write=False)
+    return ids
 
 
+@lru_cache(maxsize=None)
 def _cube_cells(n: int, k: int, j: int) -> np.ndarray:
     """Cells of every aligned level-j cube of a level-k grid, one row per
-    cube in row-major cube order, each row in row-major cell order: a
-    stable sort of the cells by their ancestor cube."""
-    return np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
+    cube in row-major cube order, each row in row-major cell order: a stable
+    sort of the cells by their ancestor cube; memoized, read-only."""
+    cells = np.argsort(_ancestor_ids(n, k, j), kind="stable").reshape(1 << (j * n), -1)
+    cells.setflags(write=False)
+    return cells
 
 
 def _scaled_corners(n: int, tau: tuple[Fraction, ...], level: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .fields import values_lp_norm
+from .fields import _power_sum, values_lp_norm
 from .grids import DyadicDomain, _cube_cells, dyadic_cube_family
 from .matrices import MatrixField, _opnorm_2x2, geometric_mean, operator_norms
 from .operators import aligned_cells
@@ -305,6 +305,6 @@ def averaging_sup_ratio(domain: DyadicDomain, inner, p: float, fields) -> float:
                 sums = sums[children[j]].sum(axis=1)
             avg = sums * 2.0 ** ((j - k) * n)  # a power of two: exact
             vals = (avg[:, None, :] * cube_recip[j]).max(axis=2)
-            for row in vals.tolist():  # fsum of Python-float powers, as lp_norm's
-                sup = max(sup, math.fsum(v ** p * vol for v in row) ** (1.0 / p) / base)
+            for row in vals.tolist():
+                sup = max(sup, _power_sum(row, p, vol) ** (1.0 / p) / base)
     return sup

@@ -16,7 +16,9 @@ from setlp.fields import (
     magnitude_bound_check,
     random_simple_field,
     values_distribution,
+    values_lp_norm,
     weak_norm,
+    _power_sum,
 )
 from setlp import seminorms
 from setlp.grids import DyadicDomain
@@ -67,6 +69,20 @@ def test_integral_magnitude_bound():
             F = random_simple_field(rng, domain, d)
             lhs, rhs = magnitude_bound_check(F)
             assert lhs <= rhs + 1e-9
+
+
+def test_power_sums_match_the_generator_expression_bitwise():
+    rng = np.random.default_rng(41)
+    values = rng.exponential(size=257)
+    values[rng.random(values.size) < 0.2] = 0.0
+    vol = 0.3  # not a power of two, so the product is rounded per value
+    for vals in (values, np.zeros(0)):
+        floats = vals.tolist()
+        for p in (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0):
+            want = math.fsum(v ** p * vol for v in floats)
+            assert _power_sum(floats, p, vol) == want
+            assert values_lp_norm(vals, p, vol) == want ** (1.0 / p)
+    assert values_lp_norm(values, math.inf, vol) == values.max()
 
 
 def test_lp_norm_of_constant_field():

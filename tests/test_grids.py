@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from setlp.grids import (
@@ -14,9 +15,28 @@ from setlp.grids import (
     parent_cube,
     verify_nesting,
     verify_tiling,
+    _ancestor_ids,
+    _cube_cells,
 )
 
 THIRD = Fraction(1, 3)
+
+
+def test_cube_topology_is_memoized_and_read_only():
+    for n in (1, 2):
+        for k in range(7):
+            for j in range(k + 1):
+                ids, cells = _ancestor_ids(n, k, j), _cube_cells(n, k, j)
+                assert _ancestor_ids(n, k, j) is ids and _cube_cells(n, k, j) is cells
+                coords = np.indices((1 << k,) * n).reshape(n, -1) >> (k - j)
+                want = np.ravel_multi_index(tuple(coords), (1 << j,) * n)
+                assert np.array_equal(ids, want)
+                assert np.array_equal(
+                    cells, np.argsort(want, kind="stable").reshape(1 << (j * n), -1))
+                assert (ids[cells] == np.arange(1 << (j * n))[:, None]).all()
+                for a in (ids, cells):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
 
 
 def test_cell_indexing_roundtrip():

@@ -7,7 +7,7 @@ import pytest
 
 from setlp.bodies import (ConvexBody, conv_union, fold_minkowski, magnitude, origin_body,
                           scale, support_batch)
-from setlp.fields import SetField, random_simple_field
+from setlp.fields import SetField, aumann_integral, random_simple_field
 from setlp.grids import DyadicCube, DyadicDomain, cubes_covering_domain
 from setlp.operators import (
     ExponentConfig,
@@ -322,6 +322,19 @@ def test_cube_magnitudes_match_body_tree(n, d, level):
             for coords, body in tree.integrals[j].items():
                 got = level_mags[np.ravel_multi_index(coords, (1 << j,) * n)]
                 assert got == pytest.approx(magnitude(body), rel=1e-12, abs=0.0)
+
+
+def test_cube_magnitudes_past_8_bit_cube_keys():
+    # level 9 of an n = 1 grid at level 10 has 512 cubes: cube ids past 8 bits
+    rng = np.random.default_rng([33, 1, 2])
+    domain = DyadicDomain(1, 10)
+    F = random_simple_field(rng, domain, 2,
+                            magnitude_scale=rng.uniform(0.0, 2.0, domain.num_cells))
+    mags = cube_magnitudes(F)
+    for j, level_mags in enumerate(mags):
+        for m in {(1 << j) - 1, int(rng.integers(1 << j))}:
+            body = aumann_integral(F, range(m << (10 - j), (m + 1) << (10 - j)))
+            assert level_mags[m] == pytest.approx(magnitude(body), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n,d,level", ARRAY_CASES, ids=lambda v: str(v))
