@@ -76,6 +76,10 @@ _TRIAL_KINDS = ("smooth", "smooth", "spike", "checkerboard")
 
 _ENDPOINT_ALPHAS = (0.25, 1.0 / 3.0, 0.5)
 
+# comparability pairs per inner_duals solve, by d: at 1440 directions a solve
+# peaks near 0.31 MB a pair at d = 2 and 0.76 MB at d = 3, so 1.5 to 2 MB
+_SOLVE_PAIRS = {2: 6, 3: 2}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -554,11 +558,13 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     double dual (an inner approximation) and c2 from the mean norm itself,
     which dominates its own double dual.  The pairs of each d are drawn into
     (10, d, d) stacks, whose mean matrices come from one geometric_mean chain.
-    Each pair's inner duals are solved once, on the finest grid; the coarser
-    grids are nested in it and share its polar points, so their double duals
-    are maxima over subsets of the same functionals, read off one product of
-    each 64-probe block with those points, no division pass
-    (seminorms.nested_maxima).  The certified width c2/c1 therefore never
+    Each pair's inner duals are solved once, on the finest grid, in blocks of
+    ``_SOLVE_PAIRS[d]`` pairs: a row does not depend on the rest of its block
+    (seminorms.inner_duals), so the blocks only bound the solve's working
+    set.  The coarser grids are nested in the finest and share its polar
+    points, so their double duals are maxima over subsets of the same
+    functionals, read off one product of each 64-probe block with those
+    points, no division pass (seminorms.nested_maxima).  The certified width c2/c1 therefore never
     grows as the grid doubles, exactly, and ordering on the finest grid
     implies it on the coarser ones.  The raw measured spread is kept alongside.
     """
@@ -573,9 +579,9 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
         cmp_vals = np.linalg.norm(probes @ np.swapaxes(mean.power(0.5).arr, 1, 2), axis=2)
         upper = (np.linalg.norm(probes @ np.swapaxes(W0, 1, 2), axis=2) ** (1.0 - t)
                  * np.linalg.norm(probes @ np.swapaxes(W1, 1, 2), axis=2) ** t)
-        # one pair per solve: a stack of ten peaks near 8 MB at d = 3
-        inner = np.concatenate([inner_duals(W0[k:k + 1], W1[k:k + 1], t, grids[-1])
-                                for k in range(len(W0))])
+        step = _SOLVE_PAIRS[d]  # one stack of ten peaks near 7.5 MB at d = 3
+        inner = np.concatenate([inner_duals(W0[k:k + step], W1[k:k + step], t, grids[-1])
+                                for k in range(0, len(W0), step)])
         maxima = nested_maxima(probes, inner, grids)
         for pair_idx, cmp, up, duals in zip(pairs, cmp_vals, upper, maxima):
             c2 = float((up / cmp).max())

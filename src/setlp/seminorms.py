@@ -24,8 +24,11 @@ pairs: a read-only (m, directions) array, each distinct pair solved once.  At
 d = 1 they have a closed form; above it the Lagrange conditions of the ratio
 reduce to one polynomial of degree 2d - 1 per direction, and every real root in
 the interval that holds its variable is tried (``_matrix_mean_duals``: closed
-form at d = 2, bracketed between the derivative's roots, found the same way,
-above).  A field of double duals is those rows, one per cell;
+form at d = 2; at d = 3 Descartes' rule of signs on the interval, mapped onto
+(0, inf), proves that most rows hold exactly one simple root, solved in the one
+bracket that the interval is, and the rest are bracketed between the
+derivative's roots, found the same way).  A field of double duals is those rows,
+one per cell;
 ``GeometricMeanDoubleDual`` is the evaluator of one pair, its row from a stack
 of one.  A max of absolute linear functionals, it is a genuine norm, and
 double_dual(v) <= p_t(v) follows from |<v,u>| <= p_t(v) p_t*(u).
@@ -38,6 +41,9 @@ functionals and monotonicity under refinement holds exactly.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -218,11 +224,13 @@ def _monic_roots_on(coef, lo, hi) -> np.ndarray:
     coef (..., n + 1) in increasing powers, the leading 1 implied, lo and hi
     broadcasting against coef[..., :1]; an (..., n) array in [lo, hi].
 
-    Cubics in closed form.  Above that p is monotone between consecutive real
-    roots of p' (Rolle), found by this function, so each of the n brackets they
-    cut [lo, hi] into holds at most one root.  A bracket where p changes sign
-    gives its root by ``_bracketed_laguerre``; one where it does not gives its end
-    of smaller |p|, so a double root, a root of p' too, stays a candidate.
+    Cubics in closed form.  Above that, the Rolle chain: p is monotone between
+    consecutive real roots of p', found by this function, so each of the n
+    brackets they cut [lo, hi] into holds at most one root.  A bracket where p
+    changes sign gives its root by ``_bracketed_laguerre``; one where it does
+    not gives its end of smaller |p|, so a double root, a root of p' too, stays
+    a candidate.  ``_matrix_mean_duals`` sends it, above cubics, only the rows
+    that ``_descartes_roots`` does not certify.
     """
     n = coef.shape[-1] - 1
     if n == 3:
@@ -238,6 +246,54 @@ def _monic_roots_on(coef, lo, hi) -> np.ndarray:
     idx = np.nonzero(np.sign(pa) * np.sign(pb) < 0.0)
     out[idx] = _bracketed_laguerre(coef[idx[:-1]], a[idx], b[idx], pa[idx], pb[idx])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mobius_table(n: int) -> np.ndarray:
+    """(n + 1, (n + 1)^2) binomial products: row e, column (k, j) the
+    coefficient of lo^e y^j in (lo + y)^k (1 + y)^(n - k)."""
+    table = np.zeros((n + 1, n + 1, n + 1))
+    for k in range(n + 1):
+        for i in range(k + 1):  # y^i lo^(k - i) from (lo + y)^k
+            for m in range(n - k + 1):  # y^m from (1 + y)^(n - k)
+                table[k - i, k, i + m] += math.comb(k, i) * math.comb(n - k, m)
+    table = table.reshape(n + 1, -1)
+    table.setflags(write=False)
+    return table
+
+
+def _descartes_roots(coef, lo) -> tuple[np.ndarray, np.ndarray]:
+    """Descartes' rule of signs on [lo, 1] for monic polynomials coef (..., N,
+    n + 1) as in ``_monic_roots_on``, lo in (0, 1] broadcasting against
+    coef[..., 0, 0]: (root, changes), both (..., N).
+
+    s = (lo + y) / (1 + y) maps y in (0, inf) onto (lo, 1), and
+    (1 + y)^n p(s) = sum_j b_j y^j with b = coef @ M, one (n + 1) x (n + 1)
+    binomial matrix M per lo; b_0 = p(lo) and b_n = p(1).  Where every |b_j|
+    exceeds its rounding bound the signs are exact, and their ``changes``
+    exceed the number of roots on (lo, 1), counted with multiplicity, by an
+    even number (Collins & Akritas 1976): one change certifies one simple root,
+    found by ``_bracketed_laguerre``, and none certifies that there is none.
+    A row with an uncertain sign counts n + 1 changes.  ``root`` is the
+    certified root, and lo, an end, on every other row.
+    """
+    n = coef.shape[-1] - 1
+    lo = np.asarray(lo, dtype=float)
+    M = (lo[..., None] ** np.arange(n + 1) @ _mobius_table(n)).reshape(lo.shape + (n + 1, n + 1))
+    lead = M[..., n:, :]  # the implied leading 1
+    b = coef[..., :n] @ M[..., :n, :] + lead
+    # M's entries and the products carry at most (3n + 2) u relative to
+    # sum_k |c_k| M[k, j]; 4 (n + 1) eps = 8 (n + 1) u leaves room
+    bound = 4.0 * (n + 1) * np.finfo(float).eps * (np.abs(coef[..., :n]) @ M[..., :n, :] + lead)
+    positive = b > 0.0
+    changes = np.count_nonzero(positive[..., 1:] != positive[..., :-1], axis=-1)
+    changes[~np.all(np.abs(b) > bound, axis=-1)] = n + 1
+    root = np.repeat(lo[..., None], coef.shape[-2], axis=-1)
+    one = np.nonzero(changes == 1)
+    ends = root[one]
+    root[one] = _bracketed_laguerre(coef[one], ends, np.ones_like(ends),
+                                    b[..., 0][one], b[..., n][one])
+    return root, changes
 
 
 def _horner(coef, x):
@@ -315,8 +371,12 @@ def _matrix_mean_duals(A0, A1, t: float, U) -> np.ndarray:
     sum_i a_i^2 (s - sigma_i^2) prod_{j != i} ((1-t) s + t sigma_j^2)^2
     in [sigma_min^2, sigma_max^2], solved there for the whole stack at once.
     Each candidate, a root or an end, is an attained ratio, so the max over
-    candidates is the supremum.  At d = 1, p_t(w) = |a0|^(1-t) |a1|^t |w| and
-    p_t*(u) = |u| / (|a0|^(1-t) |a1|^t).  Read-only result.
+    candidates is the supremum.  At d = 3 a row that Descartes' rule certifies
+    has the ends and its one root as candidates, and only the other rows are
+    gathered for the Rolle chain's five.  Either way a row's value is computed
+    from its own pair and direction alone, whatever the rest of the stack.
+    At d = 1, p_t(w) = |a0|^(1-t) |a1|^t |w| and p_t*(u) = |u| / (|a0|^(1-t)
+    |a1|^t).  Read-only result.
     """
     if U.shape[1] == 1:
         mean = np.abs(A0[:, :, 0]) ** (1.0 - t) * np.abs(A1[:, :, 0]) ** t  # (m, 1)
@@ -343,12 +403,25 @@ def _matrix_mean_duals(A0, A1, t: float, U) -> np.ndarray:
     for root in [sq] + [np.roll(poles, -k, axis=1) for k in range(1, d)] * 2:
         rows = np.roll(rows, 1, axis=2) - root[..., None] * rows  # times (s - root)
     coef = np.swapaxes(a * a, 1, 2) @ rows  # monic as |a| = 1
-    roots = _monic_roots_on(coef, sq[:, -1, None, None], 1.0)
+    lo = sq[:, -1]
+    if d == 2:  # closed-form cubics: three candidates on every row
+        candidates, rest = np.moveaxis(_monic_roots_on(coef, lo[:, None, None], 1.0), 2, 0), None
+    else:  # one, the certified root; the uncertified rows' n below
+        certified, changes = _descartes_roots(coef, lo)
+        candidates, rest = (certified,), changes > 1
     best = np.zeros((len(sq), len(U)))
-    for s in (*np.moveaxis(roots, 2, 0), sq[:, -1:], np.ones((1, 1))):  # and both ends
+    for s in (*candidates, lo[:, None], np.ones((1, 1))):  # and both ends
         W = basis @ (a / ((1.0 - t) * s[:, None, :] + t * sq[..., None]))  # (m, d, directions)
         mean = np.linalg.norm(A0 @ W, axis=1) ** (1.0 - t) * np.linalg.norm(A1 @ W, axis=1) ** t
         best = np.maximum(best, np.abs((W * U.T).sum(axis=1)) / mean)
+    if rest is not None and rest.any():  # the Rolle chain's n candidates, on those rows only
+        pair, col = np.nonzero(rest)
+        s = _monic_roots_on(coef[pair, col], lo[pair, None], 1.0)[:, None, :]  # (rows, 1, n)
+        W = basis[pair] @ (a[pair, :, col, None] / ((1.0 - t) * s + t * sq[pair, :, None]))
+        mean = (np.linalg.norm(A0[pair] @ W, axis=1) ** (1.0 - t)
+                * np.linalg.norm(A1[pair] @ W, axis=1) ** t)
+        got = np.abs((W * U[col, :, None]).sum(axis=1)) / mean
+        best[pair, col] = np.maximum(best[pair, col], got.max(axis=1))
     if not np.all(best > 0.0):
         raise DegenerateSeminormError("geometric mean degenerate on a grid direction")
     best.setflags(write=False)

@@ -20,7 +20,9 @@ from setlp.harness import (
     SUITES,
     ExperimentConfig,
     ExperimentReport,
+    _SOLVE_PAIRS,
     _comparability_block,
+    _comparability_draw,
     _endpoint_trial,
     _failure_fixture,
     _fixture_pair,
@@ -37,7 +39,14 @@ from setlp.harness import (
     trial_field,
 )
 from setlp.matrices import MatrixField, random_spd_matrix, spd_stack
-from setlp.seminorms import _NESTED_BLOCK, direction_grid, inner_duals, nested_maxima
+from setlp.seminorms import (
+    _NESTED_BLOCK,
+    GeometricMeanDoubleDual,
+    MatrixNorm,
+    direction_grid,
+    inner_duals,
+    nested_maxima,
+)
 from setlp.weights import averaging_norms, reverse_factorization
 
 
@@ -350,8 +359,26 @@ def test_nested_maxima_build_no_full_ratio_matrix():
     assert peak < 3e6
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_inner_duals_are_bitwise_the_per_pair_rows(d):
+    # the seed-7 comparability pairs, drawn as _comparability_block draws them
+    config = ExperimentConfig(seed=7)
+    t = config.ts[len(config.ts) // 2]
+    pairs = range(10) if d == 2 else range(10, 20)
+    W0, W1 = (np.stack(side) for side in zip(*[_comparability_draw(7, k, d)[:2] for k in pairs]))
+    alone = [inner_duals(W0[k:k + 1], W1[k:k + 1], t, 1440)[0] for k in range(10)]
+    for step in (_SOLVE_PAIRS[d], 3, 10):
+        blocked = np.concatenate([inner_duals(W0[k:k + step], W1[k:k + step], t, 1440)
+                                  for k in range(0, 10, step)])
+        assert all(np.array_equal(row, want) for row, want in zip(blocked, alone)), step
+    if d == 3:
+        for w0, w1, want in zip(W0, W1, alone):
+            dd = GeometricMeanDoubleDual(MatrixNorm(w0), MatrixNorm(w1), t, directions=1440)
+            assert np.array_equal(dd.inner, want)
+
+
 def test_comparability_block_stays_small():
-    # one inner-dual solve per pair peaks near 0.8 MB at d = 3; ten pairs
+    # an inner-dual solve peaks near 0.76 MB a pair at d = 3; ten pairs
     # solved in one call would take the block near 9 MB
     _comparability_block(ExperimentConfig(seed=7))  # direction grids cached
     tracemalloc.start()

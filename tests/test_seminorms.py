@@ -13,7 +13,9 @@ from setlp.seminorms import (
     GeometricMeanDoubleDual,
     MatrixNorm,
     WeightedGeometricMean,
+    _bracketed_laguerre,
     _cubic_real_parts,
+    _descartes_roots,
     _matrix_mean_duals,
     _monic_roots_on,
     direction_grid,
@@ -345,8 +347,9 @@ def test_rolle_chain_finds_every_real_root_on_the_interval(roots, lo, hi, exact_
 def test_no_bracket_of_the_seed_7_pairs_reaches_the_iteration_cap(monkeypatch):
     # a converged step that rounds onto a bracket end must end its row, not
     # fall back to bisection for dozens of passes
-    passes = []
-    laguerre, horner = seminorms._bracketed_laguerre, seminorms._horner
+    passes, uncertified = [], []
+    laguerre, horner, descartes = (seminorms._bracketed_laguerre, seminorms._horner,
+                                   seminorms._descartes_roots)
 
     def counted_laguerre(*args):
         passes.append(0)
@@ -357,14 +360,109 @@ def test_no_bracket_of_the_seed_7_pairs_reaches_the_iteration_cap(monkeypatch):
             passes[-1] += 1
         return horner(coef, x)
 
+    def counted_descartes(coef, lo):
+        root, changes = descartes(coef, lo)
+        uncertified.append(bool(np.any(changes > 1)))
+        return root, changes
+
     monkeypatch.setattr(seminorms, "_bracketed_laguerre", counted_laguerre)
     monkeypatch.setattr(seminorms, "_horner", counted_horner)
+    monkeypatch.setattr(seminorms, "_descartes_roots", counted_descartes)
     U = direction_grid(3, 1440)
     for pair_idx in range(10, 20):
         w0, w1, t = _comparability_pair(7, pair_idx)
         _matrix_mean_duals(w0[None], w1[None], t, U)
-    assert len(passes) == 20  # per pair: the roots of p' (degree 4), then of p
+    # per pair: the certified roots' brackets [lo, 1], and on a pair with
+    # uncertified rows the Rolle chain's two stages, the roots of p'
+    # (degree 4), then of p
+    assert len(uncertified) == 10 and sum(uncertified) == 4
+    assert len(passes) == 10 + 2 * sum(uncertified)
     assert max(passes) <= 8 < seminorms._ROOT_CAP
+
+
+def _quintics_with_roots_placed(rng, count):
+    """Monic quintics with 0-5 real roots in [lo, 1] and the rest real, at
+    least 0.05 outside it: (coef, lo, roots, inside), the placed roots
+    ordered inside first."""
+    lo = rng.uniform(0.02, 0.9, count)
+    inside = rng.integers(0, 6, count)
+    on = lo[:, None] + (1.0 - lo[:, None]) * rng.random((count, 5))
+    left = lo[:, None] - 0.05 - 2.0 * rng.random((count, 5))
+    off = np.where(rng.random((count, 5)) < 0.5, left, 1.05 + 2.0 * rng.random((count, 5)))
+    roots = np.where(np.arange(5) < inside[:, None], on, off)
+    return _monic_from_roots(roots), lo, roots, inside
+
+
+def test_descartes_certifies_exactly_the_quintics_with_one_simple_root():
+    # every root real: the sign changes are the roots on (lo, 1) exactly
+    rng = np.random.default_rng(31)
+    coef, lo, roots, inside = _quintics_with_roots_placed(rng, 12_000)
+    root, changes = _descartes_roots(coef[:, None, :], lo)
+    root, changes = root[:, 0], changes[:, 0]
+    assert root.shape == changes.shape == (12_000,)
+    assert np.array_equal(changes, inside)  # no sign was uncertain
+    assert set(inside) == {0, 1, 2, 3, 4, 5}
+    one = changes == 1
+    assert np.abs(root[one] - roots[one, 0]).max() < 1e-12
+    chain = _monic_roots_on(coef[one], lo[one, None], 1.0)
+    assert np.abs(chain - root[one, None]).min(axis=1).max() < 1e-12
+    # every other row keeps lo, an end, as its one dense candidate
+    assert np.array_equal(root[~one], lo[~one])
+
+
+def _from_transformed(b, lo):
+    """The monic p with (1 + y)^n p((lo + y) / (1 + y)) proportional to
+    sum_j b_j y^j: p(s) is proportional to sum_j b_j (s - lo)^j (1 - s)^(n - j)."""
+    pl = np.polynomial.polynomial
+    n = len(b) - 1
+    p = sum(bj * pl.polymul(pl.polypow([-lo, 1.0], j), pl.polypow([1.0, -1.0], n - j))
+            for j, bj in enumerate(b))
+    return (p / p[-1])[None]
+
+
+@pytest.mark.parametrize("coef, lo, tol", [
+    (_monic_from_roots([[0.2, -1.0, -2.0, 1.5, 3.0]]), 0.2, 1e-12),  # a root at lo
+    (_monic_from_roots([[1.0, 0.5, -2.0, 1.5, 3.0]]), 0.2, 1e-12),  # a root at 1, one inside
+    (_monic_from_roots([[0.5, 0.5, -1.0, -2.0, 3.0]]), 0.2, 1e-7),  # a double root
+    (_monic_from_roots([[0.5, 0.5 + 1e-6, 0.5 + 2e-6, -1.0, 3.0]]), 0.2, 1e-5),  # a cluster
+    # b_2 = -1e-18, three changes, rounds to either sign: read as positive,
+    # one change would certify one root
+    (_from_transformed([-1.0, 1.0, -1e-18, 1.0, 1.0, 1.0], 0.2), 0.2, 1e-12),
+], ids=["root-at-lo", "root-at-1", "double", "three-within-1e-6", "b2-near-zero"])
+def test_descartes_leaves_crafted_quintics_to_the_rolle_chain(coef, lo, tol):
+    root, changes = _descartes_roots(coef, lo)
+    assert changes[0] > 1 and root[0] == lo
+    # the chain finds every real root on [lo, 1], at the end too
+    ref = np.roots(coef[0, ::-1])
+    ref = ref.real[(np.abs(ref.imag) < tol) & (lo - tol <= ref.real) & (ref.real <= 1.0 + tol)]
+    assert len(ref) >= 1
+    got = _monic_roots_on(coef, lo, 1.0)[0]
+    assert all(np.abs(got - r).min() < tol for r in ref)
+
+
+def test_certifying_three_sign_changes_as_one_misses_a_root():
+    lo, placed = 0.1, np.array([0.3, 0.55, 0.8])
+    coef = _monic_from_roots([[*placed, -1.0, -2.0]])
+    root, changes = _descartes_roots(coef, lo)
+    assert changes[0] == 3 and root[0] == lo
+    # the one bracket [lo, 1] that a certificate of one change would solve
+    p_lo, p_1 = (np.polynomial.polynomial.polyval(x, coef[0]) for x in (lo, 1.0))
+    single = _bracketed_laguerre(coef, np.array([lo]), np.ones(1),
+                                 np.array([p_lo]), np.array([p_1]))
+    seen = np.array([single[0], lo, 1.0])
+    assert sum(np.abs(seen - r).min() > 0.1 for r in placed) == 2
+    # the Rolle chain, which the uncertified row goes to, finds all three
+    got = _monic_roots_on(coef, lo, 1.0)[0]
+    assert np.abs(got[:, None] - placed).min(axis=0).max() < 1e-12
+
+
+def test_inner_duals_at_d_2_take_no_certificate(monkeypatch):
+    def descartes(*args):
+        raise AssertionError("Descartes' certificate on a cubic")
+
+    monkeypatch.setattr(seminorms, "_descartes_roots", descartes)
+    w0, w1, t = _comparability_pair(7, 0)
+    assert np.all(inner_duals(w0[None], w1[None], t, 1440) > 0.0)
 
 
 def _reference_inner_duals(A0, A1, t, U):
