@@ -564,9 +564,10 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     set.  The coarser grids are nested in the finest and share its polar
     points, so their double duals are maxima over subsets of the same
     functionals, read off one product of each 64-probe block with those
-    points, no division pass (seminorms.nested_maxima).  The certified width c2/c1 therefore never
-    grows as the grid doubles, exactly, and ordering on the finest grid
-    implies it on the coarser ones.  The raw measured spread is kept alongside.
+    points, no division pass (seminorms.nested_maxima).  The certified width
+    c2/c1 therefore never grows as the grid doubles, exactly, and ordering on
+    the finest grid implies it on the coarser ones.  The raw measured spread
+    is kept alongside.
     """
     t = config.ts[len(config.ts) // 2]
     grids = (360, 720, 1440)
