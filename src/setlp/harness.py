@@ -563,11 +563,14 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     (seminorms.inner_duals), so the blocks only bound the solve's working
     set.  The coarser grids are nested in the finest and share its polar
     points, so their double duals are maxima over subsets of the same
-    functionals, read off one product of each 64-probe block with those
-    points, no division pass (seminorms.nested_maxima).  The certified width
-    c2/c1 therefore never grows as the grid doubles, exactly, and ordering on
-    the finest grid implies it on the coarser ones.  The raw measured spread
-    is kept alongside.
+    functionals, with no division pass (seminorms.nested_maxima).  At d = 2
+    each probe's products cover only a window of about 32 polar points on the
+    arc that faces it, and a certificate on the convex ring of polar points
+    proves each window maximum the full scan's, bit for bit; rows it does not
+    certify, and all of d = 3, take one product of each 64-probe block with
+    every point.  The certified width c2/c1 therefore never grows as the grid
+    doubles, exactly, and ordering on the finest grid implies it on the
+    coarser ones.  The raw measured spread is kept alongside.
     """
     t = config.ts[len(config.ts) // 2]
     grids = (360, 720, 1440)

@@ -37,7 +37,10 @@ grid whose count is m times a power of two, and the sphere grid of m
 directions is a prefix of every larger one.  ``nested_maxima`` reads the
 coarser grids' double duals off one fine solve, sharing its polar points,
 so each coarse evaluator is a max over a subset of the fine one's
-functionals and monotonicity under refinement holds exactly.
+functionals and monotonicity under refinement holds exactly.  On the circle
+the polar points and their negatives form a convex ring, and it reads each
+probe's maxima off the short arc that faces the probe, where a certificate
+proves them the full scan's, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ DEFAULT_DIRECTIONS = {1: 1, 2: 720, 3: 2562}
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _NESTED_BLOCK = 64  # rows per ratio block in nested_maxima: 0.7 MB at 1440 directions
+_ARC_TILE = 16  # facing-vertex columns per arc window in nested_maxima (d = 2)
+_ARC_SPARE = 8  # columns on each side of a tile: two steps of the 360-direction grid in 1440
+_ARC_ROWS = 8  # probes per arc product
 _ROOT_TOL = 1e-12  # relative step that ends a bracketed root row
 _ROOT_CAP = 64  # iterations; bisection alone narrows a bracket by 2^-64
 
@@ -451,33 +457,153 @@ def inner_duals(A0, A1, t: float, directions: int | None = None) -> np.ndarray:
     return inner
 
 
-def nested_maxima(V, inner, counts) -> np.ndarray:
-    """max_i |<v, u_i / inner[k, i]>| over the directions u_i of
-    direction_grid(d, m), for each m in counts, each pair k and each row v of
-    V[k]: V (K, n, d) probes, inner (K, M) inner duals on the M-direction grid;
-    a (K, len(counts), n) array, at M bitwise GeometricMeanDoubleDual.values.
+def _arc_rings(fine, inner, tile, spare) -> tuple:
+    """The rings +-P[k] of polar points P[k, i] = fine[i] / inner[k, i] on the
+    circle, as ``_arc_scan`` reads them: which are convex; the edge of each
+    from -P[k, M-1] into P[k, 0]; the angles from that edge to the edges into
+    P[k, tile], P[k, 2 tile], ..., which are also the angles between their
+    outward normals; each tile's window, the (2, tile + 2 spare) points
+    P[k, t tile - spare], ... with columns wrapped around, as row (k tiles + t);
+    and 8 eps max|P[k]|.
 
-    Each coarse grid must be a set of rows of the fine one, matched value for
-    value through one index sort of the fine rows, and hold every smaller grid
-    of counts, else ValueError.  The fine grid is reordered once so that the
-    grids, by increasing count, are its prefixes: [0::4, 2::4, 1::2] for
-    (360, 720, 1440) on the circle, the identity on the sphere, and its polar
-    points are formed once per pair: no division pass.  Each 64-row block of
-    V[k] takes one product with them; a grid's maximum is the running maximum
-    of the maxima over the contiguous column ranges up to its end.  No block
-    has one row unless V[k] has, as numpy rounds a one-row product differently.
+    A ring is convex when every vertex turns left by more than
+    8 eps (|detleft| + |detright|) in orient2d of its two edges, above
+    Shewchuk's error bound (3 + 16 u) u of the same sum.  Negation is exact, so
+    the turns at -P[k, i] are those at P[k, i], and a ring that turns left at
+    every vertex while its points go once around the origin is convex.  Its
+    edges then turn by half a turn from -P[k, M-1] on to -P[k, 0], and vertex
+    i faces the directions whose angle from the first outward normal, modulo
+    half a turn, lies between those of the edges into and out of it.
     """
-    V, inner = np.asarray(V, dtype=float), np.asarray(inner, dtype=float)
-    fine = direction_grid(V.shape[2], inner.shape[1])
+    count, tiles = len(fine), -(-len(fine) // tile)
+    columns = (np.arange(tiles * tile + 2 * spare) - spare) % count
+    wrapped = np.empty((len(inner), 2, len(columns)))
+    np.divide(fine.T[:, columns], inner[:, None, columns], out=wrapped)
+    edge = np.diff(wrapped[..., spare - 1:spare + count + 1], axis=2)  # into P[k, 0], ...
+    edge[..., 0] = wrapped[..., spare] + wrapped[..., spare - 1]  # the seams, where -P[k]
+    edge[..., -1] = -edge[..., 0]  # continues P[k]
+    left = edge[:, 0, :-1] * edge[:, 1, 1:]
+    right = edge[:, 1, :-1] * edge[:, 0, 1:]
+    turn = left - right
+    bound = np.abs(left, out=left)
+    bound += np.abs(right, out=right)
+    bound *= 8.0 * np.finfo(float).eps
+    first, rim = edge[:, :, 0], edge[:, :, tile:count:tile]
+    x, y = first[:, :1], first[:, 1:]
+    rim = np.arctan2(x * rim[:, 1] - y * rim[:, 0], x * rim[:, 0] + y * rim[:, 1])
+    window = len(columns) * np.arange(2)[:, None] + np.arange(tile + 2 * spare)
+    windows = np.take(wrapped.reshape(len(inner), -1),
+                      tile * np.arange(tiles)[:, None, None] + window, axis=1)
+    wrapped = wrapped.reshape(len(inner), -1)
+    scale = 8.0 * np.finfo(float).eps * np.maximum(wrapped.max(axis=1), -wrapped.min(axis=1))
+    return np.all(turn > bound, axis=1), first, rim, windows.reshape(-1, *window.shape), scale
+
+
+def _facing_angles(first, V) -> np.ndarray:
+    """The angle from the outward normal of first[k] to each row v of
+    V[k] (K, n, 2), modulo half a turn: it tells the ring vertex v faces."""
+    x, y = first[:, :1], first[:, 1:]
+    angle = np.arctan2(x * V[..., 0] + y * V[..., 1], y * V[..., 0] - x * V[..., 1])
+    return np.where(angle < 0.0, angle + np.pi, angle)
+
+
+def _arc_blocks(angle, rim, live, tiles) -> tuple[np.ndarray, np.ndarray]:
+    """Deal the probes of the pairs ``live`` by facing angle (len(live), n)
+    into blocks of _ARC_ROWS, by the tile that their facing vertex falls in
+    (tiles 1, 2, ... start at the angles ``rim``).  Returns the blocks' flat
+    rows k n + r, a short block repeating its last probe, and each block's
+    tile k tiles + t."""
+    pairs, n = angle.shape
+    by_angle = np.argsort(angle, axis=1) + n * np.arange(pairs)[:, None]
+    shift = 4.0 * np.arange(pairs)[:, None]  # past half a turn: one sorted run per pair
+    split = np.searchsorted((np.take(angle, by_angle) + shift).ravel(),
+                            (rim + shift).ravel()).reshape(rim.shape)
+    split = np.column_stack([n * np.arange(pairs), split, n * np.arange(1, pairs + 1)])
+    blocks = -(-np.diff(split, axis=1).ravel() // _ARC_ROWS)
+    tile = np.repeat(np.arange(len(blocks)), blocks)
+    start = np.repeat(split[:, :-1].ravel(), blocks)
+    start += _ARC_ROWS * (np.arange(len(tile)) - (np.cumsum(blocks) - blocks)[tile])
+    own = np.repeat(split[:, 1:].ravel(), blocks) - start
+    rows = (by_angle + n * (live - np.arange(pairs))[:, None]).ravel()
+    rows = rows[start[:, None] + np.minimum(np.arange(_ARC_ROWS), own[:, None] - 1)]
+    return rows, (tiles * live[:, None] + np.arange(tiles)).ravel()[tile]
+
+
+def _scan_blocks(V, polar, starts, out) -> None:
+    """out[k, r] = the running maxima over the column ranges from starts of
+    |V[k, r] @ polar[k]|, in row blocks of _NESTED_BLOCK that each take one
+    product with every column; no block has one row unless V[k] has."""
+    bounds = [0, *range(_NESTED_BLOCK, V.shape[1] - 1, _NESTED_BLOCK), V.shape[1]]
+    block = np.empty((max(np.diff(bounds)), polar.shape[2]))
+    for probe, points, o in zip(V, polar, out):
+        for lo, hi in zip(bounds, bounds[1:]):
+            values = np.matmul(probe[lo:hi], points, out=block[:hi - lo])
+            np.abs(values, out=values)
+            np.maximum.reduceat(values, starts, axis=1, out=o[lo:hi])
+            np.maximum.accumulate(o[lo:hi], axis=1, out=o[lo:hi])
+
+
+def _arc_scan(V, fine, inner, strides, tile, spare, out) -> np.ndarray:
+    """Write to out (K, n, L) the nested maxima of the rows of V (K, n, 2) that
+    an arc window certifies, and return a (K, n) mask of the rest: every row
+    of a pair whose ring +-P[k] of polar points P[k, i] =
+    fine[i] / inner[k, i] is not convex.  Grid j is the stride strides[j] of
+    ``fine``; tile and spare are multiples of strides[0].
+
+    Each pair's probes are sorted by facing angle and split, by one
+    ``searchsorted`` of the tiles' first normal angles among them, into
+    blocks of _ARC_ROWS by the tile of ``tile`` columns that holds their
+    facing vertex.  A block's window is its tile and ``spare`` columns on each
+    side, wrapping across the sign-flip seam where -P[k, 0] follows
+    P[k, M-1]: column i carries |<v, +-P[k, i]>|, which runs down and up once
+    around the M columns, and so does every grid's share of it.  Batched
+    products, each half as large as a full-scan block, give every block its
+    window's values as entries of >= 2-row products.  Where a grid's window
+    maximum beats both of that grid's end members in the window by more than
+    8 eps |v|_1 max|P[k]|, over twice the rounding of either, the exact
+    maximum lies strictly inside the window and every column outside rounds
+    below it: the window maximum is the full scan's, bit for bit.
+    """
+    n, tiles, width = V.shape[1], -(-len(fine) // tile), tile + 2 * spare
+    convex, first, rim, windows, scale = _arc_rings(fine, inner, tile, spare)
+    live = np.flatnonzero(convex)
+    rows, tiled = _arc_blocks(_facing_angles(first[live], V[live]), rim[live], live, tiles)
+    tol = scale[:, None] * (np.abs(V[..., 0]) + np.abs(V[..., 1]))
+    ends = [width - s for s in strides]
+    step = _NESTED_BLOCK * len(fine) // (2 * width * _ARC_ROWS)  # half a full-scan block
+    buffer = np.empty((width, min(step, len(rows)), _ARC_ROWS))
+    probes, found = V.reshape(-1, 2), out.reshape(-1, len(strides))
+    rest = np.repeat(~convex, n)
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        values = buffer[:, :len(block)]
+        np.matmul(np.take(probes, block, axis=0),
+                  np.take(windows, tiled[lo:lo + step], axis=0),
+                  out=values.transpose(1, 2, 0))
+        np.abs(values, out=values)
+        maxima = np.empty((len(strides), *block.shape))
+        for grid, s in zip(maxima, strides):
+            np.max(values[::s], axis=0, out=grid)
+        edge = np.maximum(values[0], values[ends])
+        edge += np.take(tol, block)
+        rest[block[~np.all(maxima > edge, axis=0)]] = True
+        found[block] = maxima.transpose(1, 2, 0)  # a repeated probe repeats its own values
+    return rest.reshape(-1, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_order(dim: int, count: int, levels: tuple) -> np.ndarray:
+    """The rows of direction_grid(dim, count) reordered so that the grids of
+    the increasing counts ``levels`` are its prefixes, else ValueError."""
+    fine = direction_grid(dim, count)
     keys = fine.view(np.dtype((np.void, fine.itemsize * fine.shape[1])))[:, 0]
     sorter = np.argsort(keys)
-    levels = sorted(set(counts))
     taken = np.zeros(len(fine), dtype=bool)
     order = []
     for m in levels:
         if m < 1:
             raise ValueError(f"direction count must be positive, got {m}")
-        coarse = direction_grid(V.shape[2], m)
+        coarse = direction_grid(dim, m)
         hit = sorter[np.searchsorted(keys, coarse.view(keys.dtype)[:, 0], sorter=sorter)
                      .clip(max=len(fine) - 1)]
         order.append(hit[~taken[hit]])
@@ -486,16 +612,57 @@ def nested_maxima(V, inner, counts) -> np.ndarray:
             raise ValueError(f"the {m}-direction grid is not nested in "
                              f"the {len(fine)}-direction grid")
     order = np.concatenate(order)
-    polar = np.swapaxes(fine[order] / inner[:, order, None], 1, 2)  # (K, d, M)
+    order.setflags(write=False)
+    return order
+
+
+def nested_maxima(V, inner, counts) -> np.ndarray:
+    """max_i |<v, u_i / inner[k, i]>| over the directions u_i of
+    direction_grid(d, m), for each m in counts, each pair k and each row v of
+    V[k]: V (K, n, d) probes, inner (K, M) inner duals on the M-direction grid;
+    a (K, len(counts), n) array, at M bitwise GeometricMeanDoubleDual.values.
+
+    Each coarse grid must be a set of rows of the fine one, matched value for
+    value through one index sort of the fine rows, and hold every smaller grid
+    of counts, else ValueError.  The fine grid is reordered once per set of
+    counts (``_prefix_order``) so that the grids, by increasing count, are its
+    prefixes: [0::4, 2::4, 1::2] for (360, 720, 1440) on the circle, the
+    identity on the sphere.  The polar points are formed once per pair: no
+    division pass.
+
+    At d = 2 the polar points P[k] of a pair and their negatives form a ring,
+    checked to be convex, on which max_i |<v, P[k, i]>| is attained on the
+    short arc facing v.  Each probe takes its products with only a window of
+    _ARC_TILE + 2 _ARC_SPARE = 32 columns around its facing vertex, in blocks
+    of _ARC_ROWS probes, and a window's maxima stand when they beat that
+    grid's two end members in the window by more than the rounding allows:
+    they are then the full scan's, bit for bit (``_arc_scan``).  Every other
+    row, every pair whose ring is not convex, and all of d = 3 take the block
+    scan: one product of each 64-row block of V[k] with every polar point in
+    prefix order, and a grid's maximum as the running maximum of the maxima
+    over the contiguous column ranges up to its end.  No product has one row
+    unless V[k] has, as numpy rounds a one-row product differently.
+    """
+    V, inner = np.asarray(V, dtype=float), np.asarray(inner, dtype=float)
+    fine = direction_grid(V.shape[2], inner.shape[1])
+    levels = sorted(set(counts))
+    order = _prefix_order(V.shape[2], len(fine), tuple(levels))
     out = np.empty((len(V), V.shape[1], len(levels)))
-    bounds = [0, *range(_NESTED_BLOCK, V.shape[1] - 1, _NESTED_BLOCK), V.shape[1]]
-    block = np.empty((max(np.diff(bounds)), len(order)))
-    for probe, points, o in zip(V, polar, out):
-        for lo, hi in zip(bounds, bounds[1:]):
-            values = np.matmul(probe[lo:hi], points, out=block[:hi - lo])
-            np.abs(values, out=values)
-            np.maximum.reduceat(values, [0, *levels[:-1]], axis=1, out=o[lo:hi])
-            np.maximum.accumulate(o[lo:hi], axis=1, out=o[lo:hi])
+    starts = [0, *levels[:-1]]
+    strides = [len(fine) // m for m in levels]
+    tile, spare = (-(-c // strides[0]) * strides[0] for c in (_ARC_TILE, _ARC_SPARE))
+    if (V.shape[2] != 2 or V.shape[1] < 2 or len(V) == 0 or 4 * (tile + 2 * spare) > len(fine)
+            or any(s * m != len(fine) or strides[0] % s for s, m in zip(strides, levels))):
+        _scan_blocks(V, np.swapaxes(fine[order] / inner[:, order, None], 1, 2), starts, out)
+    else:
+        rest = _arc_scan(V, fine, inner, strides, tile, spare, out)
+        for k in np.flatnonzero(rest.any(axis=1)):
+            left = np.flatnonzero(rest[k])
+            scan = left if len(left) > 1 else np.append(left, left[0] - 1)  # no one-row product
+            sub = np.empty((1, len(scan), len(levels)))
+            polar = np.swapaxes(fine[order] / inner[k:k + 1, order, None], 1, 2)
+            _scan_blocks(V[k:k + 1, scan], polar, starts, sub)
+            out[k, left] = sub[0, :len(left)]
     return out.transpose(0, 2, 1)[:, [levels.index(m) for m in counts]]
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from setlp import harness, matrices, operators
+from setlp import harness, matrices, operators, seminorms
 from setlp.bodies import ConvexBody, magnitude
 from setlp.cli import ConfigError, load_config, main
 from setlp.fields import SetField, random_simple_field
@@ -347,9 +347,10 @@ def test_polar_point_maxima_stay_near_the_divided_ratios(d):
     assert np.abs(got / want - 1.0).max() <= 1e-15
 
 
-def test_nested_maxima_build_no_full_ratio_matrix():
+@pytest.mark.parametrize("d", [2, 3])
+def test_nested_maxima_build_no_full_ratio_matrix(d):
     # one 1000 x 1440 ratio matrix is 11.5 MB; the row blocks stay near 0.7 MB
-    inner, probe = _nested_pair(3)
+    inner, probe = _nested_pair(d)
     tracemalloc.start()
     try:
         nested_maxima(probe[None], inner, (360, 720, 1440))
@@ -357,6 +358,104 @@ def test_nested_maxima_build_no_full_ratio_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+def _comparability_circle(seed):
+    """The d = 2 comparability pairs' 1440-direction inner duals and unit
+    probes, drawn and solved as _comparability_block draws and solves them,
+    each pair's probes led by probes within 1e-9 rad of angles 0 and pi and
+    of the normal of the seam edge from -P[M-1] into P[0]."""
+    config = ExperimentConfig(seed=seed)
+    t = config.ts[len(config.ts) // 2]
+    W0, W1, drawn = map(np.stack, zip(*[_comparability_draw(seed, k, 2) for k in range(10)]))
+    step = _SOLVE_PAIRS[2]
+    inner = np.concatenate([inner_duals(W0[k:k + step], W1[k:k + step], t, 1440)
+                            for k in range(0, 10, step)])
+    fine = direction_grid(2, 1440)
+    seam = fine[0] / inner[:, 0, None] + fine[-1] / inner[:, -1, None]  # P[0] + P[M-1]
+    normal = np.arctan2(-seam[:, 0], seam[:, 1])
+    offsets = np.array([0.0, 1e-9, -1e-9, 3e-10])
+    angles = np.concatenate([np.broadcast_to(offsets, (10, 4)), np.pi + offsets + np.zeros((10, 1)),
+                             normal[:, None] + offsets], axis=1)
+    probes = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    return inner, np.concatenate([probes, drawn], axis=1)
+
+
+def _full_scans(V, inner, grids):
+    # every grid's maximum over all of its polar points, one pair at a time
+    return [[np.abs(v @ (direction_grid(2, m) / row[::1440 // m, None]).T).max(axis=1)
+             for m in grids] for v, row in zip(V, inner)]
+
+
+def _record_block_scans(monkeypatch):
+    scanned = []
+    scan = seminorms._scan_blocks
+
+    def recording(V, *args):
+        scanned.extend(V.copy())
+        return scan(V, *args)
+
+    monkeypatch.setattr(seminorms, "_scan_blocks", recording)
+    return scanned
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_arc_maxima_are_the_full_scan_on_the_comparability_pairs(monkeypatch, seed):
+    inner, probes = _comparability_circle(seed)
+    grids = (360, 720, 1440)
+    scanned = _record_block_scans(monkeypatch)
+    ring = direction_grid(2, 1440) / inner[:, :, None]
+    facing = np.abs(probes @ np.swapaxes(ring, 1, 2)).argmax(axis=2)
+    # each pair has probes whose window wraps across the sign-flip seam
+    assert np.all(np.any((facing < 8) | (facing >= 1440 - 8), axis=1))
+    for rows in (2, 3, 65, 129, probes.shape[1]):  # no one-row product
+        V = probes[:, :rows]
+        got = nested_maxima(V, inner, grids)
+        for pair, want in zip(got, _full_scans(V, inner, grids)):
+            for values, full in zip(pair, want):
+                assert values.tobytes() == full.tobytes(), rows
+    assert sum(map(len, scanned)) <= 2  # the arc windows certify the rest
+
+
+def test_arc_maxima_fall_back_on_a_dented_ring(monkeypatch):
+    inner, probes = _comparability_circle(7)
+    inner = inner.copy()
+    inner[3, 700] *= 1.0 - 1e-3  # P[700] moves out: its neighbours turn right
+    assert list(seminorms._arc_rings(direction_grid(2, 1440), inner, 16, 8)[0]) == [
+        k != 3 for k in range(10)]
+    grids = (360, 720, 1440)
+    for pairs in (slice(None), slice(3, 4)):
+        scanned = _record_block_scans(monkeypatch)
+        got = nested_maxima(probes[pairs], inner[pairs], grids)
+        for pair, want in zip(got, _full_scans(probes[pairs], inner[pairs], grids)):
+            for values, full in zip(pair, want):
+                assert values.tobytes() == full.tobytes()
+        # every row of the dented pair, and no other, takes the block scan
+        assert len(scanned) == 1 and np.array_equal(scanned[0], probes[3])
+
+
+@pytest.mark.parametrize("wrong", [[0, 9, 512], [40]])
+def test_arc_maxima_fall_back_on_a_wrong_vertex_guess(monkeypatch, wrong):
+    inner, probes = _comparability_circle(13)
+    facing = seminorms._facing_angles
+
+    def half_the_cycle_off(first, V):
+        angle = facing(first, V)
+        angle[:, wrong] = np.mod(angle[:, wrong] + np.pi / 2, np.pi)
+        return angle
+
+    monkeypatch.setattr(seminorms, "_facing_angles", half_the_cycle_off)
+    scanned = _record_block_scans(monkeypatch)
+    grids = (360, 720, 1440)
+    got = nested_maxima(probes, inner, grids)
+    for pair, want in zip(got, _full_scans(probes, inner, grids)):
+        for values, full in zip(pair, want):
+            assert values.tobytes() == full.tobytes()
+    assert len(scanned) == 10 and all(len(rows) >= 2 for rows in scanned)
+    for rows, V in zip(scanned, probes):
+        # the misplaced rows take the block scan; a lone one brings a partner
+        assert rows[:len(wrong)].tobytes() == V[wrong].tobytes()
+        assert len(rows) == max(len(wrong), 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
