@@ -131,9 +131,9 @@ def _build_config(args, data: dict) -> ExperimentConfig:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
         text = str(exc)
-        for key in _CONFIG_KEYS:
-            if text.startswith(key) and raw:
-                raise ConfigError(f"{path}:{_line_of(raw, key)}: {text}") from exc
+        key = text.split(" ", 1)[0]  # a whole key word: "trials", never "t"
+        if key in _CONFIG_KEYS and raw:
+            raise ConfigError(f"{path}:{_line_of(raw, key)}: {text}") from exc
         raise ConfigError(text) from exc
 
 

@@ -2,9 +2,9 @@
 
 A field assigns one symmetric convex body to every cell of a dyadic grid.
 Integrals are Minkowski sums weighted by cell volume, the p-norms reduce
-to scalar sums through a per-cell seminorm, and distribution tables keep
-exact rational tail measures so weak-type quantities and layer cake sums
-do not pick up quadrature error.
+to scalar sums through a seminorm, and distribution tables keep exact
+rational tail measures so weak-type quantities and layer cake sums do not
+pick up quadrature error.
 """
 
 from __future__ import annotations
@@ -136,39 +136,16 @@ def magnitude_bound_check(field: SetField, cells=None) -> tuple[float, float]:
     return lhs, rhs
 
 
-class NormField:
-    """A per-cell norm on the same grid as a set field.
-
-    Cells may share one constant norm or each carry their own.  A field of
-    geometric-mean double duals needs no objects: it is the rows of
-    ``seminorms.inner_duals``, which ``weights.averaging_sup_ratio`` reads.
-    """
-
-    __slots__ = ("domain", "norms")
-
-    def __init__(self, domain: DyadicDomain, norms):
-        norms = tuple(norms)
-        if len(norms) != domain.num_cells:
-            raise ValueError(f"norm field needs {domain.num_cells} cells, got {len(norms)}")
-        self.domain = domain
-        self.norms = norms
-
-
 def _cell_values(field: SetField, rho) -> np.ndarray:
-    """Scalar size of every cell body under rho.
-
-    rho may be None (Euclidean), one Seminorm for all cells, or a
-    NormField aligned with the set field's grid.
-    """
+    """Scalar size of every cell body under rho: None (Euclidean) or one
+    Seminorm for all cells.  A field of geometric-mean double duals is the
+    rows of ``seminorms.inner_duals``, which ``weights.averaging_sup_ratio``
+    reads."""
     if rho is None:
         return cell_magnitudes(field)
-    if isinstance(rho, NormField):
-        if rho.domain != field.domain:
-            raise ValueError("norm field grid does not match the set field")
-        return np.array([r.of_body(c) for r, c in zip(rho.norms, field.cells)])
     if isinstance(rho, Seminorm):
         return np.array([rho.of_body(c) for c in field.cells])
-    raise TypeError(f"expected a Seminorm or NormField, got {type(rho).__name__}")
+    raise TypeError(f"expected a Seminorm, got {type(rho).__name__}")
 
 
 def _power_sum(values: list, p: float, cell_volume: float) -> float:
@@ -189,7 +166,7 @@ def values_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
 
 
 def lp_norm(field: SetField, p: float, rho=None) -> float:
-    """L^p norm of the scalar field x -> rho_x(F(x)); p = inf gives the sup."""
+    """L^p norm of the scalar field x -> rho(F(x)); p = inf gives the sup."""
     return values_lp_norm(_cell_values(field, rho), p, field.domain.cell_volume)
 
 
@@ -205,15 +182,6 @@ class DistributionTable:
     thresholds: tuple
     tails: tuple
     total_measure: Fraction
-
-    def tail_measure(self, lam: float) -> Fraction:
-        """Measure of the set where the function is >= lam (lam > 0)."""
-        if lam <= 0.0:
-            return self.total_measure
-        for value, tail in zip(self.thresholds, self.tails):
-            if value >= lam:
-                return tail
-        return Fraction(0)
 
     def weak_norm(self, p: float) -> float:
         """sup over lam of lam * measure(>= lam)^(1/p)."""
@@ -253,7 +221,7 @@ def values_distribution(values: np.ndarray, cell_volume: Fraction) -> Distributi
 
 
 def distribution(field: SetField, rho=None) -> DistributionTable:
-    """Distribution table of the scalar field x -> rho_x(F(x))."""
+    """Distribution table of the scalar field x -> rho(F(x))."""
     return values_distribution(_cell_values(field, rho), field.domain.cell_volume_exact)
 
 

@@ -150,10 +150,6 @@ class DyadicCube:
         hi = tuple(a + s for a in lo)
         return lo, hi
 
-    def contains_point(self, point: tuple[Fraction, ...]) -> bool:
-        lo, hi = self.box()
-        return all(a <= p < b for p, a, b in zip(point, lo, hi))
-
     def contains_box(self, lo: tuple[Fraction, ...], hi: tuple[Fraction, ...]) -> bool:
         clo, chi = self.box()
         return all(a <= x and y <= b for x, y, a, b in zip(lo, hi, clo, chi))
@@ -165,11 +161,6 @@ class DyadicCube:
         for a in self.corner:
             num *= max(0, min(a + 3, top) - max(a, 0))
         return Fraction(num, top ** self.n)
-
-    def key(self) -> str:
-        tau = ",".join(str(t) for t in self.tau)
-        coords = ",".join(str(m) for m in self.coords)
-        return f"j={self.level};tau=({tau});m=({coords})"
 
 
 def _thirds(tau) -> tuple[int, ...]:

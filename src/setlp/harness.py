@@ -76,10 +76,6 @@ _TRIAL_KINDS = ("smooth", "smooth", "spike", "checkerboard")
 
 _ENDPOINT_ALPHAS = (0.25, 1.0 / 3.0, 0.5)
 
-# comparability pairs per inner_duals solve, by d: at 1440 directions a solve
-# peaks near 0.31 MB a pair at d = 2 and 0.76 MB at d = 3, so 1.5 to 2 MB
-_SOLVE_PAIRS = {2: 6, 3: 2}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -108,6 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not self.ts or any(not (0 < t < 1) for t in self.ts):
             raise ValueError(f"interpolation parameters must lie in (0, 1), got {self.ts!r}")
+        if self.directions is not None and not isinstance(self.directions, int):
+            raise ValueError(f"directions must be an integer, got {self.directions!r}")
         if self.directions is not None and self.directions < 8:
             raise ValueError(f"direction count too small: {self.directions!r}")
         unknown = set(self.fixtures) - {"euclidean", "two_scales", "rotated", "random"}
@@ -346,7 +344,7 @@ def run_marcinkiewicz(config: ExperimentConfig) -> ExperimentReport:
     passed = all(r["ok"] for r in records)
     aggregate = {
         "alpha": config.alpha,
-        "constants": {repr(t): constants[t] for t in config.ts},
+        "constants": {repr(t): constants[t] for t in cfgs},
         "max_ratio": worst,
         "min_slack": min_slack,
         "trials": len(records),
@@ -558,14 +556,14 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     double dual (an inner approximation) and c2 from the mean norm itself,
     which dominates its own double dual.  The pairs of each d are drawn into
     (10, d, d) stacks, whose mean matrices come from one geometric_mean chain.
-    Each pair's inner duals are solved once, on the finest grid, in blocks of
-    ``_SOLVE_PAIRS[d]`` pairs: a row does not depend on the rest of its block
-    (seminorms.inner_duals), so the blocks only bound the solve's working
-    set.  The coarser grids are nested in the finest and share its polar
-    points, so their double duals are maxima over subsets of the same
-    functionals, with no division pass (seminorms.nested_maxima).  At d = 2
-    each probe's products cover only a window of about 32 polar points on the
-    arc that faces it, and a certificate on the convex ring of polar points
+    Each pair's inner duals are solved once, on the finest grid, by one
+    seminorms.inner_duals call per d, which bounds its own working set by
+    solving the pairs in batches; a row does not depend on its batch.  The
+    coarser grids are nested in the finest and share its polar points, so
+    their double duals are maxima over subsets of the same functionals, with
+    no division pass (seminorms.nested_maxima).  At d = 2 each probe's
+    products cover only a window of about 32 polar points on the arc that
+    faces it, and a certificate on the convex ring of polar points
     proves each window maximum the full scan's, bit for bit; rows it does not
     certify, and all of d = 3, take one product of each 64-probe block with
     every point.  The certified width c2/c1 therefore never grows as the grid
@@ -583,9 +581,7 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
         cmp_vals = np.linalg.norm(probes @ np.swapaxes(mean.power(0.5).arr, 1, 2), axis=2)
         upper = (np.linalg.norm(probes @ np.swapaxes(W0, 1, 2), axis=2) ** (1.0 - t)
                  * np.linalg.norm(probes @ np.swapaxes(W1, 1, 2), axis=2) ** t)
-        step = _SOLVE_PAIRS[d]  # one stack of ten peaks near 7.5 MB at d = 3
-        inner = np.concatenate([inner_duals(W0[k:k + step], W1[k:k + step], t, grids[-1])
-                                for k in range(0, len(W0), step)])
+        inner = inner_duals(W0, W1, t, grids[-1])
         maxima = nested_maxima(probes, inner, grids)
         for pair_idx, cmp, up, duals in zip(pairs, cmp_vals, upper, maxima):
             c2 = float((up / cmp).max())

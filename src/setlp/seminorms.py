@@ -56,6 +56,7 @@ from .bodies import ConvexBody, gauge, gauge_batch, support_batch
 DEFAULT_DIRECTIONS = {1: 1, 2: 720, 3: 2562}
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_SOLVE_BYTES = 1 << 21  # working set of one _matrix_mean_duals batch in inner_duals
 _NESTED_BLOCK = 64  # rows per ratio block in nested_maxima: 0.7 MB at 1440 directions
 _ARC_TILE = 16  # facing-vertex columns per arc window in nested_maxima (d = 2)
 _ARC_SPARE = 8  # columns on each side of a tile: two steps of the 360-direction grid in 1440
@@ -439,9 +440,12 @@ def inner_duals(A0, A1, t: float, directions: int | None = None) -> np.ndarray:
     factor pair k of the (m, d, d) stacks A0, A1 and every direction u_i of
     direction_grid(d, directions): a read-only (m, len(grid)) array.
 
-    Each distinct pair (equal bytes in both factors) is solved once, in one
-    ``_matrix_mean_duals`` batch, so equal pairs share bit-identical rows and
-    a row does not depend on the rest of the stack.
+    Each distinct pair (equal bytes in both factors) is solved once, so equal
+    pairs share bit-identical rows, and a row does not depend on the rest of
+    the stack.  The distinct pairs go to ``_matrix_mean_duals`` in batches
+    that fit _SOLVE_BYTES: a pair's solve holds about 8 d^2 floats a
+    direction (0.35 MB at d = 2 and 0.67 MB at d = 3 on 1440 directions), so
+    a stack of any size keeps one batch's working set.
     """
     A0, A1 = np.asarray(A0, dtype=float), np.asarray(A1, dtype=float)
     if A0.ndim != 3 or A0.shape != A1.shape or A0.shape[1] != A0.shape[2]:
@@ -452,7 +456,9 @@ def inner_duals(A0, A1, t: float, directions: int | None = None) -> np.ndarray:
     pick = [first.setdefault((a.tobytes(), b.tobytes()), k) for k, (a, b) in enumerate(zip(A0, A1))]
     cells, rows = np.unique(pick, return_inverse=True)
     grid = direction_grid(A0.shape[2], directions)
-    inner = _matrix_mean_duals(A0[cells], A1[cells], float(t), grid)[rows]
+    step = max(1, _SOLVE_BYTES // (64 * A0.shape[2] ** 2 * len(grid)))
+    inner = np.concatenate([_matrix_mean_duals(A0[part], A1[part], float(t), grid)
+                            for part in np.split(cells, range(step, len(cells), step))])[rows]
     inner.setflags(write=False)
     return inner
 
@@ -669,17 +675,11 @@ def nested_maxima(V, inner, counts) -> np.ndarray:
 # -- evaluator hierarchy --------------------------------------------------
 
 
-class HomogeneousFunctional:
-    """Positively homogeneous evaluator on R^dim: values(V) on row stacks."""
+class Seminorm:
+    """A convex positively homogeneous evaluator on R^dim, values(V) on row
+    stacks; its sup over a body sits at a generator."""
 
     dim: int
-
-    def values(self, V) -> np.ndarray:
-        raise NotImplementedError
-
-
-class Seminorm(HomogeneousFunctional):
-    """A convex homogeneous evaluator; sup over a body sits at a generator."""
 
     def of_body(self, body: ConvexBody) -> float:
         if body.dim != self.dim:
@@ -736,14 +736,14 @@ class GaugeNorm(Seminorm):
 
 
 class DualNorm(Seminorm):
-    """Dual of a homogeneous evaluator.
+    """Dual of a seminorm.
 
     Closed forms: dual of |A.| is |A^-T .|; dual of a gauge is the
     support function of the same body.  Any other base (including a
     DualNorm itself) evaluates through the refined direction-grid search.
     """
 
-    def __init__(self, base: HomogeneousFunctional, *, directions: int | None = None):
+    def __init__(self, base: Seminorm, *, directions: int | None = None):
         self.base = base
         self.dim = base.dim
         self.directions = directions
@@ -765,27 +765,6 @@ class DualNorm(Seminorm):
         return f"DualNorm(base={self.base!r})"
 
 
-class WeightedGeometricMean(HomogeneousFunctional):
-    """p0(v)^(1-t) * p1(v)^t: homogeneous but in general not convex."""
-
-    def __init__(self, p0: HomogeneousFunctional, p1: HomogeneousFunctional, t: float):
-        if p0.dim != p1.dim:
-            raise ValueError("dimension mismatch between the two factors")
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"interpolation parameter must lie strictly in (0, 1), got {t}")
-        self.p0, self.p1, self.t = p0, p1, float(t)
-        self.dim = p0.dim
-
-    def values(self, V):
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        a = self.p0.values(V)
-        b = self.p1.values(V)
-        return a ** (1.0 - self.t) * b ** self.t
-
-    def __repr__(self):
-        return f"WeightedGeometricMean(t={self.t})"
-
-
 class GeometricMeanDoubleDual(Seminorm):
     """Double dual of the weighted geometric mean of two matrix-induced norms.
 
@@ -799,8 +778,11 @@ class GeometricMeanDoubleDual(Seminorm):
     """
 
     def __init__(self, p0: Seminorm, p1: Seminorm, t: float, *, directions: int | None = None):
-        self.mean = WeightedGeometricMean(p0, p1, t)
-        self.p0, self.p1, self.t, self.dim = p0, p1, self.mean.t, p0.dim
+        if p0.dim != p1.dim:
+            raise ValueError("dimension mismatch between the two factors")
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"interpolation parameter must lie strictly in (0, 1), got {t}")
+        self.p0, self.p1, self.t, self.dim = p0, p1, float(t), p0.dim
         self.directions = directions if directions is not None else DEFAULT_DIRECTIONS[self.dim]
         self.grid = direction_grid(self.dim, self.directions)
         if getattr(p0, "matrix", None) is None or getattr(p1, "matrix", None) is None:
@@ -813,8 +795,10 @@ class GeometricMeanDoubleDual(Seminorm):
         return np.abs(np.atleast_2d(np.asarray(V, dtype=float)) @ self._polar.T).max(axis=1)
 
     def mean_values(self, V) -> np.ndarray:
-        """The raw geometric mean p_t on a stack of vectors."""
-        return self.mean.values(V)
+        """The raw geometric mean p_t = p0^(1-t) p1^t on a stack of vectors:
+        homogeneous but in general not convex."""
+        V = np.atleast_2d(np.asarray(V, dtype=float))
+        return self.p0.values(V) ** (1.0 - self.t) * self.p1.values(V) ** self.t
 
     def __repr__(self):
         return f"GeometricMeanDoubleDual(t={self.t}, directions={self.directions})"

@@ -6,7 +6,6 @@ import pytest
 
 from setlp.bodies import ConvexBody, magnitude, support_batch
 from setlp.fields import (
-    NormField,
     SetField,
     add_fields,
     aumann_integral,
@@ -123,12 +122,12 @@ def test_distribution_tail_measures():
     domain = DyadicDomain(1, 2)
     F = interval_field(domain, [1.0, 2.0, 3.0, 4.0])
     table = distribution(F)
-    # closed tails: measure of {value >= lam}, the jump-point limits that
+    # closed tails: measure of {value >= lam} at each jump, the limits that
     # realize the weak-norm supremum
-    assert table.tail_measure(0.5) == 1
-    assert table.tail_measure(2.0) == Fraction(3, 4)
-    assert table.tail_measure(2.5) == Fraction(1, 2)
-    assert table.tail_measure(4.5) == 0
+    assert table == values_distribution(np.array([3.0, 1.0, 4.0, 2.0]), Fraction(1, 4))
+    assert table.thresholds == (1.0, 2.0, 3.0, 4.0)
+    assert table.tails == (1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
+    assert table.total_measure == 1
     assert weak_norm(F, 1.0) == pytest.approx(max(1.0, 2 * 0.75, 3 * 0.5, 4 * 0.25))
 
 
@@ -141,15 +140,17 @@ def test_random_field_deterministic():
         assert np.array_equal(support_batch(a, U), support_batch(b, U))
 
 
-def test_weighted_lp_norm_uses_cell_norms():
+def test_weighted_lp_norm_uses_the_seminorm_on_every_cell():
     domain = DyadicDomain(1, 1)
-    rng = np.random.default_rng(11)
-    mf = MatrixField(domain, [random_spd_matrix(rng, 2) for _ in range(2)])
-    rho = NormField(domain, [MatrixNorm(m) for m in mf.stack()])
+    W = random_spd_matrix(np.random.default_rng(11), 2)
     F = SetField(domain, [ConvexBody(2, [[1.0, 0.0]]), ConvexBody(2, [[0.0, 1.0]])])
-    vals = [np.linalg.norm(mf.stack()[i] @ F.cells[i].generators[0]) for i in range(2)]
+    vals = [np.linalg.norm(W @ F.cells[i].generators[0]) for i in range(2)]
     want = math.sqrt(0.5 * vals[0] ** 2 + 0.5 * vals[1] ** 2)
-    assert lp_norm(F, 2.0, rho) == pytest.approx(want, rel=1e-12)
+    assert lp_norm(F, 2.0, MatrixNorm(W)) == pytest.approx(want, rel=1e-12)
+    lo, hi = sorted(vals)
+    assert weak_norm(F, 1.0, MatrixNorm(W)) == pytest.approx(max(lo, 0.5 * hi), rel=1e-12)
+    with pytest.raises(TypeError, match="expected a Seminorm"):
+        lp_norm(F, 2.0, [MatrixNorm(W)] * 2)
 
 
 def _repeating_pairs(dim):

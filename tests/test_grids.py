@@ -92,13 +92,17 @@ def test_clip_volumes_partition_unit_mass():
 
 
 def test_cube_containing_point():
-    tau = (THIRD,)
-    point = (Fraction(5, 8),)
-    for level in range(0, 6):
-        cube = cube_containing_point(point, 1, tau, level)
-        assert cube.contains_point(point)
-        lo, hi = cube.box()
-        assert hi[0] - lo[0] == Fraction(1, 2 ** level)
+    # every shift on every axis, points on cube edges included
+    coords = (Fraction(0), Fraction(5, 8), Fraction(1, 3), Fraction(2, 3), Fraction(31, 32))
+    for n in (1, 2):
+        points = list(product(coords, repeat=n))
+        for tau in grid_translations(n):
+            for level in range(0, 6):
+                for point in points:
+                    cube = cube_containing_point(point, n, tau, level)
+                    lo, hi = cube.box()
+                    assert all(a <= p < b for p, a, b in zip(point, lo, hi)), (tau, point)
+                    assert all(b - a == Fraction(1, 2 ** level) for a, b in zip(lo, hi))
 
 
 def test_parent_contains_child():
@@ -130,11 +134,12 @@ def test_family_size():
     assert len(shifted) == 2 + 3 + 5 + 9
 
 
-def test_cube_key_distinguishes_grids():
+def test_cubes_of_shifted_grids_differ():
     a = DyadicCube(1, (THIRD,), 2, (1,))
     b = DyadicCube(1, (-THIRD,), 2, (1,))
-    assert a.key() != b.key()
-    assert "j=2" in a.key()
+    assert a != b and len({a, b}) == 2
+    assert a.box() == ((Fraction(1, 3),), (Fraction(7, 12),))
+    assert b.box() == ((Fraction(1, 6),), (Fraction(5, 12),))
 
 
 # the integer geometry against the defining rational formulas: a level-j

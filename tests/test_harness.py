@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -20,7 +22,6 @@ from setlp.harness import (
     SUITES,
     ExperimentConfig,
     ExperimentReport,
-    _SOLVE_PAIRS,
     _comparability_block,
     _comparability_draw,
     _endpoint_trial,
@@ -39,6 +40,7 @@ from setlp.harness import (
     trial_field,
 )
 from setlp.matrices import MatrixField, random_spd_matrix, spd_stack
+from setlp.operators import ExponentConfig
 from setlp.seminorms import (
     _NESTED_BLOCK,
     GeometricMeanDoubleDual,
@@ -67,6 +69,13 @@ def test_config_validation():
         ExperimentConfig(directions=4)
     with pytest.raises(ValueError, match="fixtures"):
         ExperimentConfig(fixtures=("euclidean", "bogus"))
+
+
+def test_config_rejects_a_direction_count_that_is_not_an_integer():
+    for bad in (240.5, 240.0, "240"):
+        with pytest.raises(ValueError, match="directions must be an integer"):
+            ExperimentConfig(directions=bad)
+    assert ExperimentConfig(directions=240).directions == 240
 
 
 def test_config_trial_counts():
@@ -160,6 +169,14 @@ def test_marcinkiewicz_small_run():
     worst = max(r["ratios"]["0.5"] for r in rep.records)
     assert agg["max_ratio"]["0.5"] == pytest.approx(worst, rel=1e-12)
     assert agg["constants"]["0.5"] == pytest.approx(2.0 * 2.0 ** 0.25, rel=1e-12)
+
+
+def test_marcinkiewicz_constants_cover_a_supplied_t_outside_ts():
+    supplied = ExponentConfig.for_fractional_maximal(0.5, 0.4)
+    rep = run_marcinkiewicz(ExperimentConfig(seed=3, level=3, trials=2, exponents=supplied))
+    agg = rep.aggregate
+    assert set(agg["constants"]) == set(agg["max_ratio"]) == {"0.25", "0.4", "0.5", "0.75"}
+    assert agg["constants"]["0.4"] == supplied.interpolation_constant
 
 
 def test_endpoint_small_run():
@@ -368,9 +385,7 @@ def _comparability_circle(seed):
     config = ExperimentConfig(seed=seed)
     t = config.ts[len(config.ts) // 2]
     W0, W1, drawn = map(np.stack, zip(*[_comparability_draw(seed, k, 2) for k in range(10)]))
-    step = _SOLVE_PAIRS[2]
-    inner = np.concatenate([inner_duals(W0[k:k + step], W1[k:k + step], t, 1440)
-                            for k in range(0, 10, step)])
+    inner = inner_duals(W0, W1, t, 1440)
     fine = direction_grid(2, 1440)
     seam = fine[0] / inner[:, 0, None] + fine[-1] / inner[:, -1, None]  # P[0] + P[M-1]
     normal = np.arctan2(-seam[:, 0], seam[:, 1])
@@ -466,7 +481,9 @@ def test_blocked_inner_duals_are_bitwise_the_per_pair_rows(d):
     pairs = range(10) if d == 2 else range(10, 20)
     W0, W1 = (np.stack(side) for side in zip(*[_comparability_draw(7, k, d)[:2] for k in pairs]))
     alone = [inner_duals(W0[k:k + 1], W1[k:k + 1], t, 1440)[0] for k in range(10)]
-    for step in (_SOLVE_PAIRS[d], 3, 10):
+    assert all(np.array_equal(row, want)  # one call, solved in its own batches
+               for row, want in zip(inner_duals(W0, W1, t, 1440), alone))
+    for step in (3, 10):
         blocked = np.concatenate([inner_duals(W0[k:k + step], W1[k:k + step], t, 1440)
                                   for k in range(0, 10, step)])
         assert all(np.array_equal(row, want) for row, want in zip(blocked, alone)), step
@@ -476,9 +493,38 @@ def test_blocked_inner_duals_are_bitwise_the_per_pair_rows(d):
             assert np.array_equal(dd.inner, want)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_inner_duals_bound_their_own_working_set(d, monkeypatch):
+    # ten comparability pairs in one batch peak near 3.2 MB at d = 2 and
+    # 6.7 MB at d = 3; one call solves them in batches of at most 2 MB
+    pairs = range(10) if d == 2 else range(10, 20)
+    W0, W1 = (np.stack(side) for side in zip(*[_comparability_draw(7, k, d)[:2] for k in pairs]))
+    batches = []
+    solve = seminorms._matrix_mean_duals
+
+    def counting(A0, A1, t, U):
+        batches.append(len(A0))
+        return solve(A0, A1, t, U)
+
+    monkeypatch.setattr(seminorms, "_matrix_mean_duals", counting)
+    inner_duals(W0, W1, 0.5, 1440)  # direction grid cached
+    tracemalloc.start()
+    try:
+        inner_duals(W0, W1, 0.5, 1440)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+    assert sum(batches) == 20 and max(batches) < 10
+    if d == 2:  # riesz-thorin's 240 directions: a level-5 field's 32 pairs in one batch
+        batches.clear()
+        inner_duals(W0[:1] * np.arange(1.0, 33.0)[:, None, None], W1[[0] * 32], 0.5, 240)
+        assert batches == [32]
+
+
 def test_comparability_block_stays_small():
-    # an inner-dual solve peaks near 0.76 MB a pair at d = 3; ten pairs
-    # solved in one call would take the block near 9 MB
+    # an inner-dual solve peaks near 0.67 MB a pair at d = 3; ten pairs
+    # solved in one batch would take the block near 9 MB
     _comparability_block(ExperimentConfig(seed=7))  # direction grids cached
     tracemalloc.start()
     try:
@@ -616,6 +662,22 @@ def test_cli_config_errors_are_line_anchored(tmp_path, capsys):
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(str(broken))
     assert main(["marcinkiewicz", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_config_error_line_does_not_depend_on_the_hash_seed(tmp_path):
+    # "trials" starts with the key "t" too; the line must be that of "trials"
+    # whatever order the set of keys iterates in
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "seed": 3,\n  "trials": 0\n}\n')
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "setlp", "marcinkiewicz", "--config",
+                               str(bad)], capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert f"{bad}:3: trials must be a positive integer" in proc.stderr, hash_seed
 
 
 def test_cli_rejects_unknown_suite():

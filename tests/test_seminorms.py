@@ -12,7 +12,6 @@ from setlp.seminorms import (
     GaugeNorm,
     GeometricMeanDoubleDual,
     MatrixNorm,
-    WeightedGeometricMean,
     _bracketed_laguerre,
     _cubic_real_parts,
     _descartes_roots,
@@ -80,14 +79,23 @@ def test_direction_grid_shapes_and_nesting():
     assert np.abs(h2[:240] - h).max() == 0.0
 
 
-def test_weighted_geometric_mean_values():
+def test_double_dual_mean_values_are_the_weighted_geometric_mean():
     a = MatrixNorm(np.diag([2.0, 1.0]))
     b = MatrixNorm(np.diag([1.0, 3.0]))
     t = 0.25
-    mean = WeightedGeometricMean(a, b, t)
+    dd = GeometricMeanDoubleDual(a, b, t, directions=64)
     V = RNG.standard_normal((25, 2))
     want = a.values(V) ** (1 - t) * b.values(V) ** t
-    assert np.abs(mean.values(V) - want).max() < 1e-12
+    assert np.abs(dd.mean_values(V) - want).max() < 1e-12
+    assert dd.mean_values(V[0]).shape == (1,)
+
+
+def test_double_dual_rejects_mismatched_factors_and_t_off_the_open_interval():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        GeometricMeanDoubleDual(MatrixNorm(np.eye(2)), MatrixNorm(np.eye(3)), 0.5)
+    for t in (0.0, 1.0, -0.2, 1.5):
+        with pytest.raises(ValueError, match="strictly in"):
+            GeometricMeanDoubleDual(MatrixNorm(np.eye(2)), MatrixNorm(np.eye(2)), t)
 
 
 def test_double_dual_is_a_norm_below_the_mean():
@@ -195,7 +203,7 @@ def test_exact_inner_duals_agree_with_a_converged_search():
     for pair_idx in range(20):
         w0, w1, t = _comparability_pair(7, pair_idx)
         dd = GeometricMeanDoubleDual(MatrixNorm(w0), MatrixNorm(w1), t, directions=1440)
-        search = dual_values(dd.mean.values, dd.dim, dd.grid, directions=1440)
+        search = dual_values(dd.mean_values, dd.dim, dd.grid, directions=1440)
         assert np.abs(dd.inner / search - 1.0).max() < 1e-12, pair_idx
 
 
@@ -203,7 +211,7 @@ def test_exact_inner_duals_pass_a_local_maximum_of_the_search():
     # seed 16, pair 16: the search stops at a local maximum on some rows
     w0, w1, t = _comparability_pair(16, 16)
     dd = GeometricMeanDoubleDual(MatrixNorm(w0), MatrixNorm(w1), t, directions=1440)
-    search = dual_values(dd.mean.values, dd.dim, dd.grid, directions=1440)
+    search = dual_values(dd.mean_values, dd.dim, dd.grid, directions=1440)
     assert (dd.inner / search - 1.0).max() > 1e-3
     assert (dd.inner / search - 1.0).min() > -1e-12
 
@@ -230,8 +238,10 @@ def test_scalar_double_dual_keeps_its_closed_form_bit_for_bit():
 def _search_route_scalar_duals(a, b, t):
     """The inner dual of a d = 1 pair as the constructor once computed it:
     the grid search's d = 1 branch on the raw geometric mean."""
-    mean = WeightedGeometricMean(MatrixNorm([[a]]), MatrixNorm([[b]]), t)
-    return dual_values(mean.values, 1, [[1.0]])[0]
+    def mean(V):
+        return MatrixNorm([[a]]).values(V) ** (1.0 - t) * MatrixNorm([[b]]).values(V) ** t
+
+    return dual_values(mean, 1, [[1.0]])[0]
 
 
 def test_scalar_inner_duals_are_bitwise_the_search_route():
@@ -468,7 +478,7 @@ def test_inner_duals_at_d_2_take_no_certificate(monkeypatch):
 def _reference_inner_duals(A0, A1, t, U):
     """The per-pair solve that the stacked one replaced: polynomials built
     with numpy.polynomial, roots from companion eigenvalues, candidates
-    evaluated through WeightedGeometricMean."""
+    evaluated through p_t = |A0 .|^(1-t) |A1 .|^t."""
     inv0 = np.linalg.inv(A0)
     _, sigma, vt = np.linalg.svd(A1 @ inv0)
     sq = (sigma / sigma[0]) ** 2
@@ -482,8 +492,9 @@ def _reference_inner_duals(A0, A1, t, U):
     roots = np.clip(_companion_real_parts((a * a) @ np.array(rows)), sq[-1], 1.0)
     s = np.column_stack([roots, np.full(len(a), sq[-1]), np.ones(len(a))])
     W = (a[:, None, :] / ((1.0 - t) * s[..., None] + t * sq)) @ basis.T
-    mean = WeightedGeometricMean(MatrixNorm(A0), MatrixNorm(A1), t)
-    ratio = np.abs(np.einsum("nd,nkd->nk", U, W)) / mean.values(W.reshape(-1, len(sq))).reshape(s.shape)
+    flat = W.reshape(-1, len(sq))
+    mean = MatrixNorm(A0).values(flat) ** (1.0 - t) * MatrixNorm(A1).values(flat) ** t
+    ratio = np.abs(np.einsum("nd,nkd->nk", U, W)) / mean.reshape(s.shape)
     return ratio.max(axis=1)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from setlp import weights
 from setlp.bodies import ConvexBody
-from setlp.fields import NormField, SetField, lp_norm
+from setlp.fields import SetField, values_lp_norm
 from setlp.grids import DyadicDomain, dyadic_cube_family
 from setlp.matrices import MatrixField, operator_norms
 from setlp.harness import ExperimentConfig, _averaging_samples, _fixture_pair
@@ -259,16 +259,15 @@ def _reference_sup_ratio(pair, p, fields):
     """The sup ratio with rho built cell by cell through the public
     constructor and every cube average rebuilt through frac_average."""
     domain = pair[0].domain
-    rho = NormField(domain, [GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), 0.5,
-                                                     directions=120)
-                             for a, b in zip(*(mf.stack() for mf in pair))])
+    rho = [GeometricMeanDoubleDual(MatrixNorm(a), MatrixNorm(b), 0.5, directions=120)
+           for a, b in zip(*(mf.stack() for mf in pair))]
     vol = domain.cell_volume
     sup = 0.0
     for field in fields:
-        base = lp_norm(field, p, rho)
+        base = values_lp_norm([r.of_body(c) for r, c in zip(rho, field.cells)], p, vol)
         for cube in dyadic_cube_family(domain):
             avg = frac_average(field, cube, 0.0)
-            vals = [rho.norms[i].of_body(avg) for i in aligned_cells(domain, cube)]
+            vals = [rho[i].of_body(avg) for i in aligned_cells(domain, cube)]
             sup = max(sup, math.fsum(v ** p * vol for v in vals) ** (1.0 / p) / base)
     return sup
 
