@@ -141,15 +141,6 @@ class ConvexBody:
     def __repr__(self):
         return f"ConvexBody(dim={self.dim}, generators={self.num_generators})"
 
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "generators": [list(map(float, g)) for g in self.generators]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConvexBody":
-        return cls(int(data["dim"]), np.asarray(data.get("generators", []), dtype=float))
-
 
 def origin_body(dim: int) -> ConvexBody:
     """The degenerate body {0}."""

@@ -76,26 +76,15 @@ def _build_config(args, data: dict) -> ExperimentConfig:
     def fail(key: str, msg: str):
         raise ConfigError(f"{path}:{_line_of(raw, key)}: {msg}")
 
-    kwargs = {}
+    # ExperimentConfig checks every value's type and range
+    kwargs = {key: data[key] for key in ("seed", "level", "trials", "alpha", "directions")
+              if key in data}
     if "name" in data:
         kwargs["name"] = str(data["name"])
-    for key in ("seed", "level", "trials", "directions"):
-        if key in data:
-            if not isinstance(data[key], int) or isinstance(data[key], bool):
-                fail(key, f"{key} must be an integer, got {data[key]!r}")
-            kwargs[key] = data[key]
-    if "alpha" in data:
-        if not isinstance(data["alpha"], (int, float)):
-            fail("alpha", f"alpha must be a number, got {data['alpha']!r}")
-        kwargs["alpha"] = float(data["alpha"])
     ts_key = "ts" if "ts" in data else ("t" if "t" in data else None)
     if ts_key is not None:
         val = data[ts_key]
-        if isinstance(val, (int, float)):
-            val = [val]
-        if not isinstance(val, list) or not all(isinstance(x, (int, float)) for x in val):
-            fail(ts_key, f"{ts_key} must be a number or list of numbers")
-        kwargs["ts"] = tuple(float(x) for x in val)
+        kwargs["ts"] = tuple(val) if isinstance(val, list) else (val,)
     if "fixtures" in data:
         if not isinstance(data["fixtures"], list):
             fail("fixtures", "fixtures must be a list of names")
@@ -132,6 +121,8 @@ def _build_config(args, data: dict) -> ExperimentConfig:
     except ValueError as exc:
         text = str(exc)
         key = text.split(" ", 1)[0]  # a whole key word: "trials", never "t"
+        if key == "ts":
+            key = ts_key  # the line of "ts", or of its shorthand "t"
         if key in _CONFIG_KEYS and raw:
             raise ConfigError(f"{path}:{_line_of(raw, key)}: {text}") from exc
         raise ConfigError(text) from exc

@@ -2,7 +2,7 @@
 
 A field assigns one symmetric convex body to every cell of a dyadic grid.
 Integrals are Minkowski sums weighted by cell volume, the p-norms reduce
-to scalar sums through a seminorm, and distribution tables keep exact
+to scalar sums over the cell magnitudes, and distribution tables keep exact
 rational tail measures so weak-type quantities and layer cake sums do not
 pick up quadrature error.
 """
@@ -17,7 +17,6 @@ import numpy as np
 
 from .bodies import ConvexBody, fold_minkowski, magnitude, minkowski_sum, origin_body, scale
 from .grids import DyadicDomain
-from .seminorms import Seminorm
 
 
 class SetField:
@@ -86,17 +85,15 @@ class SetField:
         return self.domain.num_cells
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.domain.n,
-            "grid_level": self.domain.level,
-            "cells": {str(i): c.to_dict() for i, c in enumerate(self.cells)},
-        }
+        """The domain and the generator array: no body is built, and
+        from_dict gives back the array bit for bit."""
+        return {"n": self.domain.n, "grid_level": self.domain.level,
+                "generators": self.generators.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SetField":
-        domain = DyadicDomain(int(data.get("n", 1)), int(data["grid_level"]))
-        cells = [ConvexBody.from_dict(data["cells"][str(i)]) for i in range(domain.num_cells)]
-        return cls(domain, cells)
+        domain = DyadicDomain(int(data["n"]), int(data["grid_level"]))
+        return cls(domain, np.array(data["generators"], dtype=float))
 
 
 def cell_magnitudes(field: SetField) -> np.ndarray:
@@ -136,18 +133,6 @@ def magnitude_bound_check(field: SetField, cells=None) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _cell_values(field: SetField, rho) -> np.ndarray:
-    """Scalar size of every cell body under rho: None (Euclidean) or one
-    Seminorm for all cells.  A field of geometric-mean double duals is the
-    rows of ``seminorms.inner_duals``, which ``weights.averaging_sup_ratio``
-    reads."""
-    if rho is None:
-        return cell_magnitudes(field)
-    if isinstance(rho, Seminorm):
-        return np.array([rho.of_body(c) for c in field.cells])
-    raise TypeError(f"expected a Seminorm, got {type(rho).__name__}")
-
-
 def _power_sum(values: list, p: float, cell_volume: float) -> float:
     """fsum of the Python-float terms v ** p * cell_volume: the one L^p sum."""
     return math.fsum(v ** p * cell_volume for v in values)
@@ -165,9 +150,9 @@ def values_lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
     return _power_sum(values, p, cell_volume) ** (1.0 / p)
 
 
-def lp_norm(field: SetField, p: float, rho=None) -> float:
-    """L^p norm of the scalar field x -> rho(F(x)); p = inf gives the sup."""
-    return values_lp_norm(_cell_values(field, rho), p, field.domain.cell_volume)
+def lp_norm(field: SetField, p: float) -> float:
+    """L^p norm of the scalar field x -> |F(x)|; p = inf gives the sup."""
+    return values_lp_norm(cell_magnitudes(field), p, field.domain.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -181,7 +166,6 @@ class DistributionTable:
 
     thresholds: tuple
     tails: tuple
-    total_measure: Fraction
 
     def weak_norm(self, p: float) -> float:
         """sup over lam of lam * measure(>= lam)^(1/p)."""
@@ -216,17 +200,16 @@ def values_distribution(values: np.ndarray, cell_volume: Fraction) -> Distributi
     return DistributionTable(
         thresholds=tuple(distinct.tolist()),
         tails=tuple(int(c) * cell_volume for c in counts),
-        total_measure=len(ordered) * cell_volume,
     )
 
 
-def distribution(field: SetField, rho=None) -> DistributionTable:
-    """Distribution table of the scalar field x -> rho(F(x))."""
-    return values_distribution(_cell_values(field, rho), field.domain.cell_volume_exact)
+def distribution(field: SetField) -> DistributionTable:
+    """Distribution table of the scalar field x -> |F(x)|."""
+    return values_distribution(cell_magnitudes(field), field.domain.cell_volume_exact)
 
 
-def weak_norm(field: SetField, p: float, rho=None) -> float:
-    return distribution(field, rho).weak_norm(p)
+def weak_norm(field: SetField, p: float) -> float:
+    return distribution(field).weak_norm(p)
 
 
 def random_simple_field(rng: np.random.Generator, domain: DyadicDomain, dim: int,

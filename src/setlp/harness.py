@@ -76,6 +76,9 @@ _TRIAL_KINDS = ("smooth", "smooth", "spike", "checkerboard")
 
 _ENDPOINT_ALPHAS = (0.25, 1.0 / 3.0, 0.5)
 
+# the weight fixture pairs of riesz-thorin and reverse-factorization
+_FIXTURE_PAIRS = ("euclidean", "two_scales", "rotated", "random")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,27 +93,28 @@ class ExperimentConfig:
     exponents: ExponentConfig | None = None
     directions: int | None = None
     out: str | None = None
-    fixtures: tuple = ("euclidean", "two_scales", "rotated", "random")
+    fixtures: tuple = _FIXTURE_PAIRS
     emit_plot_data: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.level, int) or not (1 <= self.level <= 10):
-            raise ValueError(f"level must be an integer in [1, 10], got {self.level!r}")
-        if self.trials is not None and (not isinstance(self.trials, int) or self.trials < 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not self.ts or any(not (0 < t < 1) for t in self.ts):
-            raise ValueError(f"interpolation parameters must lie in (0, 1), got {self.ts!r}")
-        if self.directions is not None and not isinstance(self.directions, int):
-            raise ValueError(f"directions must be an integer, got {self.directions!r}")
-        if self.directions is not None and self.directions < 8:
-            raise ValueError(f"direction count too small: {self.directions!r}")
-        unknown = set(self.fixtures) - {"euclidean", "two_scales", "rotated", "random"}
-        if unknown:
-            raise ValueError(f"unknown fixtures: {sorted(unknown)}")
+        # every message opens with its field's name, which the CLI anchors
+        # to that key's config line; bool subclasses int, so it is refused first
+        def check(key, value, kind, ok, want):
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ValueError(f"{key} must be {want}, got {value!r}")
+
+        check("seed", self.seed, int, lambda v: v >= 0, "a nonnegative integer")
+        check("level", self.level, int, lambda v: 1 <= v <= 10, "an integer in [1, 10]")
+        if self.trials is not None:
+            check("trials", self.trials, int, lambda v: v >= 1, "a positive integer")
+        check("alpha", self.alpha, (int, float), lambda v: 0 < v < 1, "a number in (0, 1)")
+        check("ts", self.ts, tuple, lambda v: v and all(
+            not isinstance(t, bool) and isinstance(t, (int, float)) and 0 < t < 1 for t in v),
+            "a nonempty tuple of interpolation parameters in (0, 1)")
+        if self.directions is not None:
+            check("directions", self.directions, int, lambda v: v >= 8, "an integer >= 8")
+        check("fixtures", self.fixtures, tuple, lambda v: all(f in _FIXTURE_PAIRS for f in v),
+              f"a tuple of names among {', '.join(_FIXTURE_PAIRS)}")
 
     def trial_count(self, suite: str) -> int:
         return self.trials if self.trials is not None else DEFAULT_TRIALS[suite]
@@ -277,8 +281,9 @@ def _trial(config: ExperimentConfig, i: int) -> tuple[int, int, str, SetField]:
 
 
 def _failure_fixture(config: ExperimentConfig, suite: str, records: list) -> str | None:
-    """Write the first failing trial's field under config.out and return
-    the path; None when every trial passed or there is no output dir."""
+    """Write the first failing trial's field, as its generator array, under
+    config.out and return the path; None when every trial passed or there
+    is no output dir."""
     bad = next((r for r in records if not r["ok"]), None)
     if bad is None or config.out is None:
         return None
@@ -538,6 +543,9 @@ def run_riesz_thorin(config: ExperimentConfig) -> ExperimentReport:
 # reverse-factorization: interpolated weights, their A_p constants, and the
 # sandwich between the double-dual norm and the matrix norm of the mean
 
+# direction-grid sizes of the comparability pairs, each nested in the next
+_COMPARABILITY_GRIDS = (360, 720, 1440)
+
 
 def _comparability_draw(seed: int, pair_idx: int, d: int) -> tuple:
     """The two factors and the 1000 unit probes of one comparability pair."""
@@ -571,7 +579,6 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
     coarser ones.  The raw measured spread is kept alongside.
     """
     t = config.ts[len(config.ts) // 2]
-    grids = (360, 720, 1440)
     records = []
     ok_all = True
     for d, pairs in ((2, range(10)), (3, range(10, 20))):
@@ -581,8 +588,8 @@ def _comparability_block(config: ExperimentConfig) -> tuple[list, bool]:
         cmp_vals = np.linalg.norm(probes @ np.swapaxes(mean.power(0.5).arr, 1, 2), axis=2)
         upper = (np.linalg.norm(probes @ np.swapaxes(W0, 1, 2), axis=2) ** (1.0 - t)
                  * np.linalg.norm(probes @ np.swapaxes(W1, 1, 2), axis=2) ** t)
-        inner = inner_duals(W0, W1, t, grids[-1])
-        maxima = nested_maxima(probes, inner, grids)
+        inner = inner_duals(W0, W1, t, _COMPARABILITY_GRIDS[-1])
+        maxima = nested_maxima(probes, inner, _COMPARABILITY_GRIDS)
         for pair_idx, cmp, up, duals in zip(pairs, cmp_vals, upper, maxima):
             c2 = float((up / cmp).max())
             widths = []
@@ -661,7 +668,7 @@ def run_reverse_factorization(config: ExperimentConfig) -> ExperimentReport:
     plot = [(lvl, f"{r['fixture']}_ap", c)
             for r in fixture_records for lvl, c in zip(r["levels"], r["ap_constants"])]
     plot += [(m, f"pair{r['pair']}_width", w)
-             for r in pair_records for m, w in zip((360, 720, 1440), r["widths"])]
+             for r in pair_records for m, w in zip(_COMPARABILITY_GRIDS, r["widths"])]
     records = fixture_records + pair_records
     return ExperimentReport("reverse-factorization", config.to_dict(), records,
                             aggregate, passed, plot_rows=plot)

@@ -29,9 +29,8 @@ import math
 import numpy as np
 
 from .fields import _power_sum, values_lp_norm
-from .grids import DyadicDomain, _cube_cells, dyadic_cube_family
+from .grids import DyadicDomain, _cube_cells
 from .matrices import MatrixField, _opnorm_2x2, geometric_mean, operator_norms
-from .operators import aligned_cells
 from .seminorms import direction_grid
 
 
@@ -242,7 +241,9 @@ def classical_ap_constant(weight_values, domain: DyadicDomain, p: float) -> floa
 
     sup_Q (avg w) * (avg w^(1/(1-p)))^(p-1), computed directly from the
     cell values, cube by cube, as an oracle for the one-dimensional matrix
-    reduction.
+    reduction.  The level-j cubes are the blocks of the row-major cell
+    array: (2^j, 2^(k-j)) at n = 1, and at n = 2 the (2^j, 2^(k-j)) blocks
+    on both axes, taken to one row of cells per cube.
     """
     p = float(p)
     if not (math.isfinite(p) and p > 1.0):
@@ -252,11 +253,16 @@ def classical_ap_constant(weight_values, domain: DyadicDomain, p: float) -> floa
         raise ValueError(f"expected {domain.num_cells} cell values, got shape {w.shape}")
     if (w <= 0.0).any():
         raise ValueError("weights must be positive")
+    k, n = domain.level, domain.n
     best = 0.0
-    for cube in dyadic_cube_family(domain):
-        idx = aligned_cells(domain, cube)
-        part = w[idx]
-        best = max(best, part.mean() * (part ** (1.0 / (1.0 - p))).mean() ** (p - 1.0))
+    for j in range(k + 1):
+        cubes, side = 1 << j, 1 << (k - j)
+        if n == 2:
+            blocks = w.reshape(cubes, side, cubes, side).transpose(0, 2, 1, 3)
+        else:
+            blocks = w.reshape(cubes, side)
+        for part in blocks.reshape(cubes ** n, side ** n):
+            best = max(best, part.mean() * (part ** (1.0 / (1.0 - p))).mean() ** (p - 1.0))
     return best
 
 

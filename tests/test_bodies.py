@@ -131,9 +131,3 @@ def test_large_body_keeps_every_vertex():
     U = direction_grid(2, 4096)
     exact = np.abs(pts @ U.T).max(axis=0)
     np.testing.assert_allclose(support_batch(big, U), exact, rtol=1e-15, atol=0.0)
-
-
-def test_body_serialization_shape():
-    doc = square().to_dict()
-    assert doc["dim"] == 2
-    assert len(doc["generators"]) == 2

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from setlp import harness, matrices, operators, seminorms
 from setlp.bodies import ConvexBody, magnitude
-from setlp.cli import ConfigError, load_config, main
+from setlp.cli import _CONFIG_KEYS, ConfigError, _build_config, build_parser, load_config, main
 from setlp.fields import SetField, random_simple_field
 from setlp.grids import DyadicDomain
 from setlp.harness import (
@@ -85,6 +86,55 @@ def test_config_trial_counts():
     assert set(SUITES) < set(SUITE_RUNNERS)
 
 
+def test_config_refuses_bools_and_non_numbers_by_name():
+    # bool is an int: a flag-like true must not pass as seed 1 and echo as true
+    for key, bad in (("seed", True), ("level", True), ("trials", True), ("directions", True),
+                     ("alpha", "0.5"), ("alpha", True), ("ts", ("0.5",)), ("ts", (True,)),
+                     ("ts", ()), ("fixtures", (["euclidean"],))):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            ExperimentConfig(**{key: bad})
+    assert ExperimentConfig(seed=0, trials=1, directions=8).to_dict()["seed"] == 0
+
+
+@pytest.mark.parametrize("body,line,key", [
+    ('{\n  "seed": true\n}\n', 2, "seed"),
+    ('{\n  "level": true\n}\n', 2, "level"),
+    ('{\n  "trials": true\n}\n', 2, "trials"),
+    ('{\n  "alpha": "0.5"\n}\n', 2, "alpha"),
+    ('{\n  "seed": 3,\n  "directions": 4\n}\n', 3, "directions"),
+    ('{\n  "ts": [0.5, 1.5]\n}\n', 2, "ts"),
+    ('{\n  "name": "short",\n  "t": 1.5\n}\n', 3, "ts"),
+    ('{\n  "seed": 3,\n  "fixtures": ["nope"]\n}\n', 3, "fixtures"),
+])
+def test_cli_config_value_errors_open_with_their_key_line(tmp_path, capsys, body, line, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert main(["riesz-thorin", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {key} must be ")
+    assert not (tmp_path / "riesz-thorin.json").exists()
+
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+
+
+def test_documented_config_matches_the_cli(monkeypatch):
+    schema = json.loads((DOCS / "config_schema.json").read_text())
+    assert set(schema["properties"]) == _CONFIG_KEYS
+    monkeypatch.delenv("SETLP_OUT", raising=False)
+    path = str(DOCS / "example_config.json")
+    example = json.loads((DOCS / "example_config.json").read_text())
+    config = _build_config(build_parser().parse_args(["all", "--config", path]),
+                           load_config(path))
+    echoed = config.to_dict()
+    for key, value in example.items():
+        if key == "exponents":
+            assert {k: echoed[key][k] for k in value} == value
+        elif key in echoed:
+            assert echoed[key] == value, key
+        else:
+            assert getattr(config, key) == value, key
+
+
 def test_trial_field_deterministic_and_kinds():
     domain = DyadicDomain(1, 4)
     one = trial_field(np.random.default_rng([5, 0]), domain, 2, "smooth")
@@ -127,6 +177,7 @@ def test_failure_fixture_reloads_to_the_trial_field(tmp_path):
     # trial 7 of the field suites: n = 2, d = 2, a checkerboard field
     want = trial_field(np.random.default_rng([7, 7]), DyadicDomain(2, 3), 2, "checkerboard")
     assert loaded.domain == want.domain
+    assert loaded.generators.tobytes() == want.generators.tobytes()
     for a, b in zip(loaded.cells, want.cells, strict=True):
         assert np.array_equal(a.generators, b.generators)
     no_out = ExperimentConfig(seed=7, level=3, trials=8)

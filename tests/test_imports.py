@@ -117,6 +117,25 @@ def test_tracer_metric_sources_are_wrapped_functions(name):
         assert inspect.isfunction(getattr(raw, "__func__", raw)), name
 
 
+def _imported_modules(path: pathlib.Path) -> set:
+    """The package modules a library module imports from, at any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_array_layers_stay_off_the_body_path():
+    # the field norms read magnitudes; weights, matrices and grids read
+    # value arrays, and the A_p oracle shares no code with the cube gathers
+    assert "seminorms" not in _imported_modules(SRC / "fields.py")
+    for name in ("weights", "matrices", "grids"):
+        assert not _imported_modules(SRC / f"{name}.py") & {"operators", "bodies"}, name
+    tree = ast.parse((SRC / "weights.py").read_text())
+    oracle = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "classical_ap_constant")
+    assert not _referenced_names(oracle) & {"_cube_cells", "_ancestor_ids"}
+
+
 def _run_fresh(code: str, tmp_path, threads: int = 1) -> str:
     """Run code in a new interpreter with SETLP_THREADS=threads; return the
     last line of its stdout."""
@@ -139,6 +158,19 @@ import json, sys
 from setlp.cli import main
 assert main(["all", "--seed", "7", "--level", "3", "--out", "reports"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith({_HEAVY!r}))))
+""", tmp_path)
+    assert json.loads(loaded) == []
+
+
+def test_failure_fixture_loads_no_scipy(tmp_path):
+    # trial 1 is a planar field on the line: building its bodies would load Qhull
+    loaded = _run_fresh("""
+import json, sys
+from setlp.harness import ExperimentConfig, _failure_fixture
+path = _failure_fixture(ExperimentConfig(seed=7, level=3, out="fx"), "endpoints",
+                        [{"trial": 1, "ok": False}])
+assert path.endswith("endpoints-failure-trial1.json"), path
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """, tmp_path)
     assert json.loads(loaded) == []
 
