@@ -1,8 +1,8 @@
 """Command line front end for the experiment suites.
 
 Exit codes: 0 all suites passed, 1 a measured bound failed, 2 bad
-configuration or arguments.  Config-file problems are reported with the
-offending line when it can be located.
+configuration or arguments.  A bad value is reported with its line in
+the config file when the file supplied it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
+from dataclasses import fields
 
 from ._version import __version__
 from .harness import (
@@ -29,111 +31,87 @@ class ConfigError(Exception):
     pass
 
 
-_CONFIG_KEYS = {
-    "name", "seed", "level", "trials", "alpha", "t", "ts", "directions",
-    "out", "fixtures", "exponents", "emit_plot_data",
-}
+# "t" is shorthand for "ts": [t]
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"t"}
+_WS = re.compile(r"[ \t\n\r]*")
 
 
-def _line_of(raw: str, key: str) -> str:
-    needle = f'"{key}"'
-    for i, line in enumerate(raw.splitlines(), start=1):
-        if needle in line:
-            return str(i)
-    return "?"
-
-
-def _decode_number(value):
-    if value == "inf":
-        return math.inf
-    return value
-
-
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple[dict, dict]:
+    """The config object at path, and the "path:line" of each of its keys,
+    where "t" counts as "ts"."""
     try:
         with open(path) as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
-        data = json.loads(raw)
+        is_object = isinstance(json.loads(raw), dict)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
+    if not is_object:
         raise ConfigError(f"{path}:1: config must be a JSON object")
-    for key in data:
+    # the text is a valid JSON object: walk its top level key by key
+    decode = json.JSONDecoder().raw_decode
+
+    def skip(pos):
+        return _WS.match(raw, pos).end()
+
+    data, where = {}, {}
+    pos = skip(skip(0) + 1)  # past "{"
+    while raw.startswith('"', pos):
+        lineno = raw.count("\n", 0, pos) + 1
+        at = f"{path}:{lineno}"
+        key, pos = decode(raw, pos)
+        value, pos = decode(raw, skip(skip(pos) + 1))  # past ":"
+        pos = skip(skip(pos) + 1)  # past "," (or the closing "}")
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{_line_of(raw, key)}: unknown config key {key!r}")
-    data["__path__"] = path
-    data["__raw__"] = raw
-    return data
+            raise ConfigError(f"{at}: unknown config key {key!r}")
+        name = "ts" if key == "t" else key
+        if name in where:
+            raise ConfigError(f"{at}: duplicate config key {key!r}" if key in data
+                              else f"{at}: 't' and 'ts' both set ts")
+        data[key], where[name] = value, at
+    return data, where
 
 
-def _build_config(args, data: dict) -> ExperimentConfig:
-    path = data.pop("__path__", "<config>")
-    raw = data.pop("__raw__", "")
-
-    def fail(key: str, msg: str):
-        raise ConfigError(f"{path}:{_line_of(raw, key)}: {msg}")
-
-    # ExperimentConfig checks every value's type and range
-    kwargs = {key: data[key] for key in ("seed", "level", "trials", "alpha", "directions")
-              if key in data}
-    if "name" in data:
-        kwargs["name"] = str(data["name"])
-    ts_key = "ts" if "ts" in data else ("t" if "t" in data else None)
-    if ts_key is not None:
-        val = data[ts_key]
-        kwargs["ts"] = tuple(val) if isinstance(val, list) else (val,)
-    if "fixtures" in data:
-        if not isinstance(data["fixtures"], list):
-            fail("fixtures", "fixtures must be a list of names")
-        kwargs["fixtures"] = tuple(data["fixtures"])
-    if "out" in data:
-        kwargs["out"] = str(data["out"])
-    if "emit_plot_data" in data:
-        kwargs["emit_plot_data"] = bool(data["emit_plot_data"])
-    if "exponents" in data:
-        exp = data["exponents"]
-        if not isinstance(exp, dict):
-            fail("exponents", "exponents must be an object with p0, q0, p1, q1, t")
-        try:
-            kwargs["exponents"] = ExponentConfig(
-                **{k: _decode_number(v) for k, v in exp.items()})
-        except (TypeError, ValueError) as exc:
-            fail("exponents", f"bad exponents: {exc}")
-
-    # flags beat the environment, which beats the config file
-    env_out = os.environ.get("SETLP_OUT")
-    if env_out:
-        kwargs["out"] = env_out
-    for key in ("seed", "level", "trials"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            kwargs[key] = flag
-    if getattr(args, "out", None) is not None:
-        kwargs["out"] = args.out
-    if getattr(args, "emit_plot_data", False):
-        kwargs["emit_plot_data"] = True
-
+def _exponent_config(obj: dict) -> ExponentConfig:
     try:
+        return ExponentConfig(**{k: math.inf if v == "inf" else v for k, v in obj.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"exponents are invalid: {exc}") from exc
+
+
+def _build_config(args, data: dict, where: dict) -> ExperimentConfig:
+    """The config file's values under SETLP_OUT under the flags, over the
+    CLI's output dir "."; ExperimentConfig checks every value.  An error is
+    anchored at a file line only when the file supplied the failing value."""
+    kwargs = {"out": "."}
+    for key, value in data.items():
+        if key == "t":
+            key, value = "ts", [value]
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    where = dict(where)
+    for key, value in (("out", os.environ.get("SETLP_OUT") or None),
+                       ("seed", args.seed), ("level", args.level), ("trials", args.trials),
+                       ("out", args.out), ("emit_plot_data", args.emit_plot_data or None)):
+        if value is not None:
+            kwargs[key] = value
+            where.pop(key, None)
+    try:
+        if isinstance(kwargs.get("exponents"), dict):
+            kwargs["exponents"] = _exponent_config(kwargs["exponents"])
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
         text = str(exc)
-        key = text.split(" ", 1)[0]  # a whole key word: "trials", never "t"
-        if key == "ts":
-            key = ts_key  # the line of "ts", or of its shorthand "t"
-        if key in _CONFIG_KEYS and raw:
-            raise ConfigError(f"{path}:{_line_of(raw, key)}: {text}") from exc
-        raise ConfigError(text) from exc
+        at = where.get(text.split(" ", 1)[0])  # every message opens with its key
+        raise ConfigError(f"{at}: {text}" if at else text) from exc
 
 
 def _write_report(report: ExperimentReport, config: ExperimentConfig,
                   fmt: str) -> list[str]:
-    out_dir = config.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(config.out, exist_ok=True)
     written = []
-    base = os.path.join(out_dir, report.suite)
+    base = os.path.join(config.out, report.suite)
     with open(base + ".json", "w") as fh:
         fh.write(report.to_json())
     written.append(base + ".json")
@@ -187,21 +165,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        data = load_config(args.config) if args.config else {}
-        config = _build_config(args, data)
+        data, where = load_config(args.config) if args.config else ({}, {})
+        config = _build_config(args, data, where)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     ok = True
-    try:
-        for name in suites:
-            report = _run_suite(name, config, args.format)
-            ok = ok and report.passed
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name in suites:
+        ok = _run_suite(name, config, args.format).passed and ok
     return 0 if ok else 1
 
 

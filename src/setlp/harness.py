@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -92,46 +92,55 @@ class ExperimentConfig:
     ts: tuple = (0.25, 0.5, 0.75)
     exponents: ExponentConfig | None = None
     directions: int | None = None
-    out: str | None = None
+    out: str | None = None  # None writes no files; the CLI's default is "."
     fixtures: tuple = _FIXTURE_PAIRS
     emit_plot_data: bool = False
 
     def __post_init__(self):
         # every message opens with its field's name, which the CLI anchors
-        # to that key's config line; bool subclasses int, so it is refused first
-        def check(key, value, kind, ok, want):
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        # to that key's config line; bool subclasses int, so only a bool
+        # field takes a bool
+        def check(key, value, kind, want, ok=lambda v: True):
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind) \
+                    or not ok(value):
                 raise ValueError(f"{key} must be {want}, got {value!r}")
 
-        check("seed", self.seed, int, lambda v: v >= 0, "a nonnegative integer")
-        check("level", self.level, int, lambda v: 1 <= v <= 10, "an integer in [1, 10]")
+        check("name", self.name, str, "a string")
+        check("seed", self.seed, int, "a nonnegative integer", lambda v: v >= 0)
+        check("level", self.level, int, "an integer in [1, 10]", lambda v: 1 <= v <= 10)
         if self.trials is not None:
-            check("trials", self.trials, int, lambda v: v >= 1, "a positive integer")
-        check("alpha", self.alpha, (int, float), lambda v: 0 < v < 1, "a number in (0, 1)")
-        check("ts", self.ts, tuple, lambda v: v and all(
-            not isinstance(t, bool) and isinstance(t, (int, float)) and 0 < t < 1 for t in v),
-            "a nonempty tuple of interpolation parameters in (0, 1)")
+            check("trials", self.trials, int, "a positive integer", lambda v: v >= 1)
+        check("alpha", self.alpha, (int, float), "a number in (0, 1)", lambda v: 0 < v < 1)
+        check("ts", self.ts, tuple, "a nonempty tuple of interpolation parameters in (0, 1)",
+              lambda v: v and all(not isinstance(t, bool) and isinstance(t, (int, float))
+                                  and 0 < t < 1 for t in v))
+        if self.exponents is not None:
+            check("exponents", self.exponents, ExponentConfig,
+                  "an ExponentConfig of p0, q0, p1, q1 and t")
+            if abs(self.exponents.alpha - self.alpha) > 1e-12:
+                raise ValueError(f"exponents give alpha={self.exponents.alpha}, "
+                                 f"config has alpha={self.alpha}")
         if self.directions is not None:
-            check("directions", self.directions, int, lambda v: v >= 8, "an integer >= 8")
-        check("fixtures", self.fixtures, tuple, lambda v: all(f in _FIXTURE_PAIRS for f in v),
-              f"a tuple of names among {', '.join(_FIXTURE_PAIRS)}")
+            check("directions", self.directions, int, "an integer >= 8", lambda v: v >= 8)
+        if self.out is not None:
+            check("out", self.out, str, "a directory path")
+        check("fixtures", self.fixtures, tuple,
+              f"a nonempty tuple of names among {', '.join(_FIXTURE_PAIRS)}",
+              lambda v: v and all(f in _FIXTURE_PAIRS for f in v))
+        check("emit_plot_data", self.emit_plot_data, bool, "true or false")
 
     def trial_count(self, suite: str) -> int:
         return self.trials if self.trials is not None else DEFAULT_TRIALS[suite]
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "seed": self.seed,
-            "level": self.level,
-            "trials": self.trials,
-            "alpha": self.alpha,
-            "ts": list(self.ts),
-            "directions": self.directions,
-            "fixtures": list(self.fixtures),
-        }
-        if self.exponents is not None:
-            d["exponents"] = self.exponents.to_dict()
+        """The fields a report echoes: all but where and what extra it writes."""
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("out", "emit_plot_data") or (f.name == "exponents" and value is None):
+                continue
+            d[f.name] = (list(value) if isinstance(value, tuple) else
+                         value.to_dict() if isinstance(value, ExponentConfig) else value)
         return d
 
 
@@ -303,14 +312,9 @@ def _failure_fixture(config: ExperimentConfig, suite: str, records: list) -> str
 
 def _marcinkiewicz_exponents(config: ExperimentConfig) -> dict:
     """ExponentConfig per interpolation parameter t."""
-    alpha = config.alpha
-    cfgs = {t: ExponentConfig.for_fractional_maximal(alpha, t) for t in config.ts}
+    cfgs = {t: ExponentConfig.for_fractional_maximal(config.alpha, t) for t in config.ts}
     if config.exponents is not None:
-        supplied = config.exponents
-        if abs(supplied.alpha - alpha) > 1e-12:
-            raise ValueError(
-                f"supplied exponents give alpha={supplied.alpha}, config has {alpha}")
-        cfgs[supplied.t] = supplied
+        cfgs[config.exponents.t] = config.exponents
     return cfgs
 
 

@@ -169,12 +169,6 @@ def fixture_weights(kind: str, params: dict | None, grid: DyadicDomain) -> Matri
     if kind == "identity":
         d = int(params.pop("dim", 2))
         cells = np.broadcast_to(np.eye(d), (grid.num_cells, d, d))
-    elif kind == "constant":
-        entries = params.pop("matrix", None)
-        if entries is None:
-            raise ValueError("constant fixture needs a 'matrix' parameter")
-        entries = np.asarray(entries, dtype=float)
-        cells = np.broadcast_to(entries, (grid.num_cells,) + entries.shape)
     elif kind == "scalar_two_valued":
         low = float(params.pop("low", 1.0))
         high = float(params.pop("high", 4.0))

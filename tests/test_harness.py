@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -90,28 +91,92 @@ def test_config_refuses_bools_and_non_numbers_by_name():
     # bool is an int: a flag-like true must not pass as seed 1 and echo as true
     for key, bad in (("seed", True), ("level", True), ("trials", True), ("directions", True),
                      ("alpha", "0.5"), ("alpha", True), ("ts", ("0.5",)), ("ts", (True,)),
-                     ("ts", ()), ("fixtures", (["euclidean"],))):
+                     ("ts", ()), ("fixtures", (["euclidean"],)), ("fixtures", ()),
+                     ("name", 5), ("out", 7), ("emit_plot_data", "false"),
+                     ("emit_plot_data", 1), ("exponents", {"p0": 2.0})):
         with pytest.raises(ValueError, match=f"^{key} must be "):
             ExperimentConfig(**{key: bad})
     assert ExperimentConfig(seed=0, trials=1, directions=8).to_dict()["seed"] == 0
 
 
-@pytest.mark.parametrize("body,line,key", [
-    ('{\n  "seed": true\n}\n', 2, "seed"),
-    ('{\n  "level": true\n}\n', 2, "level"),
-    ('{\n  "trials": true\n}\n', 2, "trials"),
-    ('{\n  "alpha": "0.5"\n}\n', 2, "alpha"),
-    ('{\n  "seed": 3,\n  "directions": 4\n}\n', 3, "directions"),
-    ('{\n  "ts": [0.5, 1.5]\n}\n', 2, "ts"),
-    ('{\n  "name": "short",\n  "t": 1.5\n}\n', 3, "ts"),
-    ('{\n  "seed": 3,\n  "fixtures": ["nope"]\n}\n', 3, "fixtures"),
+def test_config_refuses_exponents_of_another_order():
+    supplied = ExponentConfig.for_fractional_maximal(0.5, 0.5)
+    with pytest.raises(ValueError, match="^exponents give alpha=0.5, config has alpha=0.25"):
+        ExperimentConfig(alpha=0.25, exponents=supplied)
+    assert ExperimentConfig(exponents=supplied).exponents is supplied
+
+
+def test_config_echo_leaves_out_where_and_what_is_written():
+    keys = {"name", "seed", "level", "trials", "alpha", "ts", "directions", "fixtures"}
+    config = ExperimentConfig(out="x", emit_plot_data=True)
+    assert set(config.to_dict()) == keys
+    assert config.to_dict()["ts"] == [0.25, 0.5, 0.75]
+    supplied = ExponentConfig.for_fractional_maximal(0.5, 0.4)
+    echoed = ExperimentConfig(exponents=supplied).to_dict()
+    assert set(echoed) == keys | {"exponents"}
+    assert echoed["exponents"] == supplied.to_dict()
+
+
+_EXPONENTS = '"exponents": {"p0": 2.0, "q0": "inf", "p1": 1.0, "q1": 2.0, "t": 0.5}'
+
+
+@pytest.mark.parametrize("body,line,msg", [
+    ('{\n  "seed": true\n}\n', 2, "seed must be "),
+    ('{\n  "level": true\n}\n', 2, "level must be "),
+    ('{\n  "trials": true\n}\n', 2, "trials must be "),
+    ('{\n  "alpha": "0.5"\n}\n', 2, "alpha must be "),
+    ('{\n  "seed": 3,\n  "directions": 4\n}\n', 3, "directions must be "),
+    ('{\n  "ts": [0.5, 1.5]\n}\n', 2, "ts must be "),
+    ('{\n  "ts": 0.5\n}\n', 2, "ts must be "),
+    ('{\n  "name": "short",\n  "t": 1.5\n}\n', 3, "ts must be "),
+    ('{\n  "seed": 3,\n  "fixtures": ["nope"]\n}\n', 3, "fixtures must be "),
+    ('{\n  "seed": 3,\n  "emit_plot_data": "false"\n}\n', 3, "emit_plot_data must be "),
+    ('{\n  "seed": 3,\n  "name": 5\n}\n', 3, "name must be a string, got 5"),
+    # a key's name inside a nested object or a string value is not its line
+    ('{\n  ' + _EXPONENTS + ',\n  "t": 1.5\n}\n', 3, "ts must be "),
+    ('{\n  "out": "seed",\n  "seed": -1\n}\n', 3, "seed must be "),
+    ('{\n  "alpha": 0.25,\n  ' + _EXPONENTS + '\n}\n', 3,
+     "exponents give alpha=0.5, config has alpha=0.25"),
+    ('{\n  "seed": 3,\n  "exponents": {"p0": 0.5}\n}\n', 3, "exponents are invalid: "),
+    ('{\n  "seed": 3,\n  "fixtures": []\n}\n', 3, "fixtures must be a nonempty tuple"),
+    ('{\n  "seed": 3,\n  "seed": 4\n}\n', 3, "duplicate config key 'seed'"),
+    ('{\n  "ts": [0.5],\n  "t": 0.5\n}\n', 3, "'t' and 'ts' both set ts"),
+    ('{\n  "t": 0.5,\n  "ts": [0.5]\n}\n', 3, "'t' and 'ts' both set ts"),
 ])
-def test_cli_config_value_errors_open_with_their_key_line(tmp_path, capsys, body, line, key):
+def test_cli_config_value_errors_open_with_their_key_line(tmp_path, capsys, body, line, msg):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
     assert main(["riesz-thorin", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {key} must be ")
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {msg}")
     assert not (tmp_path / "riesz-thorin.json").exists()
+
+
+def test_cli_refuses_a_config_out_that_is_not_a_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SETLP_OUT", raising=False)
+    (tmp_path / "cfg.json").write_text('{\n  "seed": 3,\n  "out": 7\n}\n')
+    assert main(["marcinkiewicz", "--config", "cfg.json", "--trials", "2"]) == 2
+    assert capsys.readouterr().err == "error: cfg.json:3: out must be a directory path, got 7\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_cli_blames_a_flag_value_on_no_file_line(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text('{\n  "seed": 3,\n  "level": 3\n}\n')
+    assert main(["marcinkiewicz", "--config", str(tmp_path / "cfg.json"),
+                 "--level", "11", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: level must be an integer in [1, 10], got 11\n"
+
+
+def test_cli_writes_a_failure_fixture_next_to_the_default_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SETLP_OUT", raising=False)
+    monkeypatch.delenv("SETLP_THREADS", raising=False)
+    monkeypatch.setattr(harness, "BOUND_SLACK", -100.0)
+    assert main(["endpoints", "--trials", "2", "--level", "3"]) == 1
+    report = json.loads((tmp_path / "endpoints.json").read_text())
+    fixture = report["aggregate"]["failure_fixture"]
+    assert os.path.normpath(fixture) == "endpoints-failure-trial0.json"
+    assert json.loads((tmp_path / fixture).read_text())["trial"] == 0
 
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -124,7 +189,7 @@ def test_documented_config_matches_the_cli(monkeypatch):
     path = str(DOCS / "example_config.json")
     example = json.loads((DOCS / "example_config.json").read_text())
     config = _build_config(build_parser().parse_args(["all", "--config", path]),
-                           load_config(path))
+                           *load_config(path))
     echoed = config.to_dict()
     for key, value in example.items():
         if key == "exponents":
@@ -133,6 +198,11 @@ def test_documented_config_matches_the_cli(monkeypatch):
             assert echoed[key] == value, key
         else:
             assert getattr(config, key) == value, key
+    # a schema default is the dataclass default; a key without one defaults to None
+    for f in dataclasses.fields(ExperimentConfig):
+        prop = schema["properties"][f.name]
+        want = list(f.default) if isinstance(f.default, tuple) else f.default
+        assert prop.get("default") == want, f.name
 
 
 def test_trial_field_deterministic_and_kinds():

@@ -41,7 +41,7 @@ def test_identity_weight_has_unit_constant():
 
 def test_constant_weight_has_unit_constant():
     domain = DyadicDomain(1, 3)
-    W = fixture_weights("constant", {"matrix": [[2.0, 0.5], [0.5, 1.0]]}, domain)
+    W = MatrixField(domain, np.broadcast_to([[2.0, 0.5], [0.5, 1.0]], (domain.num_cells, 2, 2)))
     assert ap_matrix_constant(W, 3.0) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -148,8 +148,6 @@ def test_fixture_rejects_unused_params():
         fixture_weights("identity", {"dim": 2, "typo": 1}, domain)
     with pytest.raises(ValueError, match="unknown fixture kind"):
         fixture_weights("nonesuch", None, domain)
-    with pytest.raises(ValueError, match="'matrix'"):
-        fixture_weights("constant", None, domain)
 
 
 def test_fixture_condition_cap():
